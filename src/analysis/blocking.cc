@@ -198,7 +198,7 @@ void ComputeOcc(const TransactionSet& set, BlockingAnalysis& analysis) {
     const TransactionSpec& spec = set.spec(i);
     SpecBlocking& sb = analysis.per_spec[static_cast<std::size_t>(i)];
     for (SpecId h = 0; h < i; ++h) {
-      if (!Intersects(set.spec(h).WriteSet(), spec.ReadSet())) continue;
+      if (!Intersects(set.WriteSet(h), spec.ReadSet())) continue;
       sb.restart_sources.push_back(RestartSource{h, 1});
     }
   }

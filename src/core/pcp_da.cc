@@ -56,7 +56,7 @@ LockDecision PcpDa::Decide(const LockRequest& request) const {
   // DataRead(T_L) ∩ WriteSet(requester) = ∅ (Case 2 otherwise).
   if (options_.enable_wr_guard) {
     std::vector<JobId> conflicting_writers;
-    const std::set<ItemId> write_set = job.write_set();
+    const std::set<ItemId>& write_set = job.write_set();
     for (JobId writer : locks.writers(x)) {
       if (writer == self) continue;
       const Job* holder = view().job(writer);

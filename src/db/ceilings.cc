@@ -15,13 +15,13 @@ StaticCeilings::StaticCeilings(const TransactionSet& set) {
   // out sorted and the first writer of x defines Wceil(x).
   for (SpecId i = 0; i < set.size(); ++i) {
     const Priority p = set.priority(i);
-    for (ItemId x : set.spec(i).WriteSet()) {
+    for (ItemId x : set.WriteSet(i)) {
       auto xi = static_cast<std::size_t>(x);
       wceil_[xi] = Max(wceil_[xi], p);
       aceil_[xi] = Max(aceil_[xi], p);
       writers_[xi].push_back(i);
     }
-    for (ItemId x : set.spec(i).ReadSet()) {
+    for (ItemId x : set.ReadSet(i)) {
       auto xi = static_cast<std::size_t>(x);
       aceil_[xi] = Max(aceil_[xi], p);
       readers_[xi].push_back(i);

@@ -108,8 +108,6 @@ const std::set<ItemId>& LockTable::write_items(JobId job) const {
   return held == nullptr ? kNoItems : held->write_items;
 }
 
-std::vector<JobId> LockTable::holders() const { return by_job_.ids(); }
-
 std::string LockTable::DebugString() const {
   std::vector<std::string> parts;
   for (ItemId i = 0; i < item_count(); ++i) {

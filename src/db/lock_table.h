@@ -57,8 +57,9 @@ class LockTable {
   /// Items the job holds write locks on (sorted).
   const std::set<ItemId>& write_items(JobId job) const;
 
-  /// All jobs currently holding at least one lock.
-  std::vector<JobId> holders() const;
+  /// All jobs currently holding at least one lock, ascending by id.
+  /// Invalidated by any mutation.
+  const std::vector<JobId>& holders() const { return by_job_.ids(); }
 
   /// Total read + write locks currently held.
   std::size_t lock_count() const { return lock_count_; }

@@ -105,11 +105,11 @@ class Linter {
     std::vector<Priority> wceil(ceiling_slots, Priority::Dummy());
     std::vector<Priority> aceil(ceiling_slots, Priority::Dummy());
     for (SpecId i = 0; i < set.size(); ++i) {
-      for (ItemId item : set.spec(i).WriteSet()) {
+      for (ItemId item : set.WriteSet(i)) {
         wceil[item] = Max(wceil[item], set.priority(i));
         aceil[item] = Max(aceil[item], set.priority(i));
       }
-      for (ItemId item : set.spec(i).ReadSet()) {
+      for (ItemId item : set.ReadSet(i)) {
         aceil[item] = Max(aceil[item], set.priority(i));
       }
     }

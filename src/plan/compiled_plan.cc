@@ -44,10 +44,10 @@ StatusOr<CompiledPlan> CompiledPlan::Compile(Scenario scenario,
   impl->read_bits.assign(static_cast<std::size_t>(set.size()) * words, 0);
   impl->write_bits.assign(static_cast<std::size_t>(set.size()) * words, 0);
   for (SpecId spec = 0; spec < set.size(); ++spec) {
-    for (ItemId item : set.spec(spec).ReadSet()) {
+    for (ItemId item : set.ReadSet(spec)) {
       SetBit(impl->read_bits, words, spec, item);
     }
-    for (ItemId item : set.spec(spec).WriteSet()) {
+    for (ItemId item : set.WriteSet(spec)) {
       SetBit(impl->write_bits, words, spec, item);
     }
   }

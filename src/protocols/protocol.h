@@ -143,7 +143,12 @@ class Protocol {
   /// Binds the protocol to a run. Must be called before Decide.
   void Attach(const SimView* view);
 
-  /// Decides a lock request. Pure: must not mutate protocol state.
+  /// Decides a lock request. Pure: must not mutate protocol state. It may
+  /// read the requester's own running priority, but never another job's
+  /// running priority or the wait-for graph (which SimView does not
+  /// expose): the simulator relies on this to skip a request it already
+  /// decided at the requester's current running priority while the lock
+  /// table, step cursors, read sets and protocol state are unchanged.
   virtual LockDecision Decide(const LockRequest& request) const = 0;
 
   /// Locks (item, mode) the job may release before commit, evaluated after

@@ -30,27 +30,4 @@ std::map<JobId, Priority> ComputeRunningPriorities(
   return running;
 }
 
-void ComputeRunningPrioritiesDense(JobSlotMap<Priority>& running,
-                                   const WaitGraph& waits,
-                                   bool enable_inheritance) {
-  if (!enable_inheritance || waits.waiter_ids().empty()) return;
-  bool changed = true;
-  std::size_t guard = running.size() + 1;
-  while (changed && guard-- > 0) {
-    changed = false;
-    for (JobId waiter : waits.waiter_ids()) {
-      const Priority* donated = running.find(waiter);
-      if (donated == nullptr) continue;  // waiter no longer live
-      for (JobId holder : waits.HoldersBlocking(waiter)) {
-        Priority* inherited = running.find(holder);
-        if (inherited == nullptr) continue;  // holder no longer live
-        if (*inherited < *donated) {
-          *inherited = *donated;
-          changed = true;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace pcpda

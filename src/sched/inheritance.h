@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/types.h"
-#include "plan/job_arena.h"
 #include "sched/wait_graph.h"
 
 namespace pcpda {
@@ -22,18 +21,13 @@ namespace pcpda {
 /// The fixpoint is well defined even on cyclic wait graphs (a deadlock
 /// collapses the cycle to its maximum priority); the caller detects and
 /// handles deadlocks separately.
+///
+/// The simulator relaxes the same fixpoint in place on its jobs
+/// (Simulator::RelaxRunningPriorities); this map version is the
+/// invariant auditor's independent oracle for it.
 std::map<JobId, Priority> ComputeRunningPriorities(
     const std::map<JobId, Priority>& base, const WaitGraph& waits,
     bool enable_inheritance);
-
-/// Dense in-place variant for the simulator's per-sweep fixpoint:
-/// `running` arrives preloaded with the live jobs' base priorities and is
-/// relaxed to the same fixpoint as the map overload, with no per-call
-/// allocation. Ids absent from `running` are ignored exactly as the map
-/// version ignores no-longer-live waiters and holders.
-void ComputeRunningPrioritiesDense(JobSlotMap<Priority>& running,
-                                   const WaitGraph& waits,
-                                   bool enable_inheritance);
 
 }  // namespace pcpda
 

@@ -96,8 +96,10 @@ struct RunMetrics {
   Priority max_ceiling;
   bool halted_on_deadlock = false;
   bool halted_on_miss = false;
-  /// Lock requests evaluated by the protocol (Protocol::Decide calls),
-  /// including re-evaluations during dispatch fixpoint sweeps. Feeds the
+  /// Protocol::Decide calls actually made. A fixpoint sweep re-asks only
+  /// requests whose answer is not yet known in the current resolution
+  /// round (a new round, or a changed requester running priority), so
+  /// this counts work done, not requests outstanding. Feeds the
   /// ns-per-lock-decision figure in bench_engine_perf; deliberately absent
   /// from DebugString so golden traces are unaffected.
   std::int64_t lock_decisions = 0;

@@ -21,6 +21,10 @@ bool DispatchBefore(const Job* a, const Priority& ra, const Job* b,
   return a->id() < b->id();
 }
 
+bool RunningBefore(const Job* a, const Job* b) {
+  return DispatchBefore(a, a->running_priority(), b, b->running_priority());
+}
+
 }  // namespace
 
 std::vector<Job*> DispatchOrder(
@@ -40,10 +44,18 @@ std::vector<Job*> DispatchOrder(
 }
 
 void SortDispatchOrder(std::vector<Job*>& order) {
-  std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
-    return DispatchBefore(a, a->running_priority(), b,
-                          b->running_priority());
-  });
+  std::sort(order.begin(), order.end(), RunningBefore);
+}
+
+void ResortDispatchOrder(std::vector<Job*>& order) {
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    Job* const job = order[i];
+    std::size_t at = i;
+    for (; at > 0 && RunningBefore(job, order[at - 1]); --at) {
+      order[at] = order[at - 1];
+    }
+    order[at] = job;
+  }
 }
 
 }  // namespace pcpda

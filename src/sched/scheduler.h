@@ -20,9 +20,15 @@ std::vector<Job*> DispatchOrder(
 
 /// In-place variant for the simulator's hot loop: sorts `order` by the
 /// same strict total order, reading each job's running priority from the
-/// job itself (the caller has just written the fixpoint back via
-/// Job::set_running_priority). No per-call allocation.
+/// job itself (the caller has just relaxed inheritance on the jobs). No
+/// per-call allocation.
 void SortDispatchOrder(std::vector<Job*>& order);
+
+/// Re-sorts an order that SortDispatchOrder produced before a few running
+/// priorities moved, by insertion sort: O(n + inversions) instead of
+/// O(n log n). The order is strict and total, so the result is the one
+/// SortDispatchOrder would return.
+void ResortDispatchOrder(std::vector<Job*>& order);
 
 }  // namespace pcpda
 

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "sched/inheritance.h"
 #include "sched/scheduler.h"
 #include "sim/calendar.h"
 
@@ -65,8 +64,6 @@ SpecMetrics& Simulator::metrics_for(SpecId spec) {
               static_cast<std::size_t>(spec) < metrics_.per_spec.size());
   return metrics_.per_spec[static_cast<std::size_t>(spec)];
 }
-
-std::vector<Job*> Simulator::ActiveJobs() { return active_jobs_; }
 
 bool Simulator::NeedsLock(const Job& job) const {
   if (job.BodyDone() || job.step_admitted()) return false;
@@ -142,9 +139,12 @@ void Simulator::ReleaseArrivals() {
 }
 
 void Simulator::CheckDeadlines() {
-  // kDrop retires jobs mid-loop, so walk a snapshot of the scan set.
-  const std::vector<Job*> snapshot = active_jobs_;
-  for (Job* active : snapshot) {
+  // kDrop retires jobs mid-loop, so only that policy walks a snapshot of
+  // the scan set.
+  const bool drops = options_.miss_policy == DeadlineMissPolicy::kDrop;
+  const std::vector<Job*> snapshot =
+      drops ? active_jobs_ : std::vector<Job*>();
+  for (Job* active : drops ? snapshot : active_jobs_) {
     Job& job = *active;
     if (job.deadline_miss_recorded()) continue;
     if (job.absolute_deadline() == kNoTick ||
@@ -232,15 +232,48 @@ void Simulator::ApplyFaults() {
   }
 }
 
+void Simulator::RelaxRunningPriorities() {
+  for (Job* job : active_jobs_) {
+    job->set_running_priority(job->base_priority());
+  }
+  if (!protocol_->uses_priority_inheritance()) return;
+  // Each pass propagates donations one edge further; priorities only
+  // rise, so |active| + 1 passes suffice. Every waiter is active (stale
+  // waiters are cleared at the start of each round), but an edge may
+  // still name a holder that has since committed or been dropped: it
+  // inherits nothing.
+  bool changed = !wait_graph_.waiter_ids().empty();
+  std::size_t guard = active_jobs_.size() + 1;
+  while (changed && guard-- > 0) {
+    changed = false;
+    for (JobId waiter : wait_graph_.waiter_ids()) {
+      const Job& donor = *jobs_[static_cast<std::size_t>(waiter)];
+      for (JobId holder_id : wait_graph_.HoldersBlocking(waiter)) {
+        Job& holder = *jobs_[static_cast<std::size_t>(holder_id)];
+        if (holder.active() &&
+            holder.running_priority() < donor.running_priority()) {
+          holder.set_running_priority(donor.running_priority());
+          changed = true;
+        }
+      }
+    }
+  }
+}
+
 Job* Simulator::ResolveDispatch() {
   // Abort applications (HP victims, optimistic self-aborts) restart the
   // resolution; they always release locks or clear protocol state, so the
   // bound below only trips on a protocol that aborts without progress.
   std::size_t abort_rounds = 0;
   const std::size_t max_abort_rounds = 16 + 4 * jobs_.size();
+  // Aborts restart jobs in place, so the active set is fixed for the
+  // whole resolution: after the first full sort each sweep only repairs
+  // the previous order.
+  bool sorted = false;
   for (;;) {
     PCPDA_CHECK_MSG(abort_rounds++ <= max_abort_rounds,
                     "dispatch resolution is not making progress");
+    ++dispatch_round_;
     blocked_now_.clear();
     granted_decision_.clear();
 
@@ -267,21 +300,20 @@ Job* Simulator::ResolveDispatch() {
     // wait-for edges the decisions create — so iterate to a fixpoint.
     // Each sweep walks jobs in descending running priority, so a waiter's
     // denial raises its blocker before the blocker is evaluated; the
-    // sweep cap guards against pathological oscillation.
+    // sweep cap guards against pathological oscillation. A job decided
+    // earlier in this round at its current running priority is skipped
+    // (see dispatch_round_), but still ends the sweep if an earlier job
+    // changed the wait graph, exactly as its repeated decision would.
     const std::size_t max_sweeps = 4 * active_jobs_.size() + 8;
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      running_scratch_.clear();
-      for (Job* job : active_jobs_) {
-        running_scratch_[job->id()] = job->base_priority();
+      RelaxRunningPriorities();
+      if (sorted) {
+        ResortDispatchOrder(dispatch_scratch_);
+      } else {
+        dispatch_scratch_ = active_jobs_;
+        SortDispatchOrder(dispatch_scratch_);
+        sorted = true;
       }
-      ComputeRunningPrioritiesDense(
-          running_scratch_, wait_graph_,
-          protocol_->uses_priority_inheritance());
-      for (Job* job : active_jobs_) {
-        job->set_running_priority(running_scratch_.at(job->id()));
-      }
-      dispatch_scratch_ = active_jobs_;
-      SortDispatchOrder(dispatch_scratch_);
       bool changed = false;
       for (Job* job : dispatch_scratch_) {
         if (!NeedsLock(*job)) {
@@ -292,6 +324,11 @@ Job* Simulator::ResolveDispatch() {
           blocked_now_.erase(job->id());
           continue;
         }
+        if (job->DecidedInRound(dispatch_round_)) {
+          if (changed) break;
+          continue;
+        }
+        job->MarkDecided(dispatch_round_);
         const Step& step = job->current_step();
         LockRequest request{job, step.item, NeededMode(*job)};
         LockDecision decision = protocol_->Decide(request);

@@ -177,6 +177,11 @@ class Simulator : public SimView {
   /// and picks the runner. Returns the chosen job (nullptr if idle) and
   /// fills blocked_now_.
   Job* ResolveDispatch();
+  /// Resets every active job to its base priority, then relaxes priority
+  /// inheritance along the wait graph in place on Job::running_priority —
+  /// the same fixpoint, in the same pass order, as the auditor's
+  /// ComputeRunningPriorities oracle over the active jobs.
+  void RelaxRunningPriorities();
   /// Handles at most one wait-for cycle per policy. Returns true when a
   /// cycle was found (the caller must re-resolve dispatch unless the run
   /// halted).
@@ -196,7 +201,6 @@ class Simulator : public SimView {
   /// tick's audit).
   void RetireJob(Job& job);
   void RecordTick(const Job* runner, StepKind runner_kind);
-  std::vector<Job*> ActiveJobs();
   SpecMetrics& metrics_for(SpecId spec);
 
   /// True when the job's current step requires a lock it does not hold.
@@ -258,10 +262,9 @@ class Simulator : public SimView {
   JobSlotMap<Tick> effective_blocking_by_job_;
   /// The decision produced for the runner during dispatch resolution.
   JobSlotMap<LockDecision> granted_decision_;
-  /// Per-sweep scratch reused across dispatch resolutions: the running-
-  /// priority fixpoint, the dispatch order, the sorted holder set of a
-  /// kBlock decision, and the stale waiters to clear.
-  JobSlotMap<Priority> running_scratch_;
+  /// Per-sweep scratch reused across dispatch resolutions: the dispatch
+  /// order, the sorted holder set of a kBlock decision, and the stale
+  /// waiters to clear.
   std::vector<Job*> dispatch_scratch_;
   std::vector<JobId> holders_scratch_;
   std::vector<JobId> stale_waiters_scratch_;
@@ -281,6 +284,12 @@ class Simulator : public SimView {
   /// tests/determinism_test.cc.
   bool dispatch_dirty_ = true;
   Job* last_runner_ = nullptr;
+
+  /// Round stamp for the per-job decision memo (Job::DecidedInRound). A
+  /// round is one pass of ResolveDispatch's outer loop, ended by abort
+  /// applications; within it every Decide input except the requester's
+  /// running priority is fixed (DESIGN.md §13).
+  std::uint64_t dispatch_round_ = 0;
 };
 
 }  // namespace pcpda

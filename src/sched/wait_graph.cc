@@ -36,29 +36,33 @@ std::vector<JobId> WaitGraph::waiters() const { return edges_.ids(); }
 
 std::optional<std::vector<JobId>> WaitGraph::FindCycle() const {
   if (edges_.empty()) return std::nullopt;
-  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
-  // Colors in a flat array over [0, max id]: ids are dense per run, and
-  // the graph is only non-empty under contention, so one block beats a
-  // node-allocating map.
-  JobId max_id = 0;
+  // Colours live in a flat array over the graph's own nodes, found by
+  // binary search, so a call never touches memory sized by the largest
+  // job id.
+  dfs_nodes_.assign(edges_.ids().begin(), edges_.ids().end());
   for (JobId waiter : edges_.ids()) {
-    max_id = std::max(max_id, waiter);
-    for (JobId h : edges_.at(waiter)) max_id = std::max(max_id, h);
+    const std::vector<JobId>& holders = edges_.at(waiter);
+    dfs_nodes_.insert(dfs_nodes_.end(), holders.begin(), holders.end());
   }
-  std::vector<Color> color(static_cast<std::size_t>(max_id) + 1,
-                           Color::kWhite);
-  auto paint = [&color](JobId id) -> Color& {
-    return color[static_cast<std::size_t>(id)];
+  std::sort(dfs_nodes_.begin(), dfs_nodes_.end());
+  dfs_nodes_.erase(std::unique(dfs_nodes_.begin(), dfs_nodes_.end()),
+                   dfs_nodes_.end());
+  dfs_colors_.assign(dfs_nodes_.size(), Color::kWhite);
+  auto paint = [this](JobId id) -> Color& {
+    const auto at =
+        std::lower_bound(dfs_nodes_.begin(), dfs_nodes_.end(), id);
+    return dfs_colors_[static_cast<std::size_t>(at - dfs_nodes_.begin())];
   };
-  std::vector<JobId> path;
   // Recursive DFS expressed iteratively via an explicit stack of
-  // (node, next successor index).
+  // (node, next successor index); each root's walk empties the stack.
+  std::vector<std::pair<JobId, std::size_t>>& stack = dfs_stack_;
+  std::vector<JobId>& path = dfs_path_;
+  stack.clear();
   auto successors = [this](JobId node) -> const std::vector<JobId>& {
     return HoldersBlocking(node);
   };
   for (JobId root : edges_.ids()) {
     if (paint(root) != Color::kWhite) continue;
-    std::vector<std::pair<JobId, std::size_t>> stack;
     paint(root) = Color::kGray;
     stack.emplace_back(root, 0);
     path.assign(1, root);

@@ -1,8 +1,10 @@
 #ifndef PCPDA_SCHED_WAIT_GRAPH_H_
 #define PCPDA_SCHED_WAIT_GRAPH_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -36,13 +38,25 @@ class WaitGraph {
   const std::vector<JobId>& waiter_ids() const { return edges_.ids(); }
 
   /// Finds a wait-for cycle if one exists. The returned cycle lists each
-  /// member once, starting from the smallest job id in the cycle.
+  /// member once, starting from the smallest job id in the cycle. Costs
+  /// O(E log V) in the graph's own edges and nodes, independent of how
+  /// many jobs were ever released.
   std::optional<std::vector<JobId>> FindCycle() const;
 
   std::string DebugString() const;
 
  private:
+  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
+
   JobSlotMap<std::vector<JobId>> edges_;
+
+  /// FindCycle scratch, reused across calls: the graph's nodes (waiters
+  /// and holders, sorted unique), their DFS colours (parallel), the DFS
+  /// stack of (node, next successor index) and the current path.
+  mutable std::vector<JobId> dfs_nodes_;
+  mutable std::vector<Color> dfs_colors_;
+  mutable std::vector<std::pair<JobId, std::size_t>> dfs_stack_;
+  mutable std::vector<JobId> dfs_path_;
 
   static const std::vector<JobId> kNoHolders;
 };

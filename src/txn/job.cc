@@ -22,13 +22,13 @@ Job::Job(JobId id, const TransactionSet* set, SpecId spec_id, int instance,
     : id_(id),
       set_(set),
       spec_id_(spec_id),
+      spec_(&set->spec(spec_id)),
       instance_(instance),
       release_time_(release_time),
       absolute_deadline_(absolute_deadline),
-      running_priority_(set->priority(spec_id)),
-      remaining_in_step_(set->spec(spec_id).body.front().duration) {
-  PCPDA_CHECK(set != nullptr);
-}
+      base_priority_(set->priority(spec_id)),
+      running_priority_(base_priority_),
+      remaining_in_step_(spec_->body.front().duration) {}
 
 const Step& Job::current_step() const {
   PCPDA_CHECK(!BodyDone());

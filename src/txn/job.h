@@ -1,6 +1,7 @@
 #ifndef PCPDA_TXN_JOB_H_
 #define PCPDA_TXN_JOB_H_
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -33,7 +34,7 @@ class Job {
 
   JobId id() const { return id_; }
   SpecId spec_id() const { return spec_id_; }
-  const TransactionSpec& spec() const { return set_->spec(spec_id_); }
+  const TransactionSpec& spec() const { return *spec_; }
   /// 0-based release index of this instance.
   int instance() const { return instance_; }
   Tick release_time() const { return release_time_; }
@@ -44,11 +45,23 @@ class Job {
   bool active() const { return state_ == JobState::kActive; }
 
   /// The original (assigned) priority P_i of the paper.
-  Priority base_priority() const { return set_->priority(spec_id_); }
+  Priority base_priority() const { return base_priority_; }
   /// The running priority: base priority possibly raised by inheritance.
   /// Maintained by the scheduler every tick.
   Priority running_priority() const { return running_priority_; }
   void set_running_priority(Priority p) { running_priority_ = p; }
+
+  /// Dispatch-round decision memo, kept by the simulator: true when the
+  /// protocol already decided this job's pending lock request in
+  /// resolution round `round` at the job's current running priority.
+  bool DecidedInRound(std::uint64_t round) const {
+    return decided_round_ == round && decided_priority_ == running_priority_;
+  }
+  /// Records a decision in `round` at the current running priority.
+  void MarkDecided(std::uint64_t round) {
+    decided_round_ = round;
+    decided_priority_ = running_priority_;
+  }
 
   // --- Execution progress -------------------------------------------------
 
@@ -81,7 +94,7 @@ class Job {
   void RecordRead(ItemId item) { data_read_.insert(item); }
 
   /// WriteSet(T_i): statically declared items the job may write.
-  std::set<ItemId> write_set() const { return spec().WriteSet(); }
+  const std::set<ItemId>& write_set() const { return set_->WriteSet(spec_id_); }
 
   Workspace& workspace() { return workspace_; }
   const Workspace& workspace() const { return workspace_; }
@@ -113,12 +126,18 @@ class Job {
   JobId id_;
   const TransactionSet* set_;
   SpecId spec_id_;
+  const TransactionSpec* spec_;
   int instance_;
   Tick release_time_;
   Tick absolute_deadline_;
 
   JobState state_ = JobState::kActive;
+  Priority base_priority_;
   Priority running_priority_;
+  /// Round and running priority of the last Decide (see DecidedInRound);
+  /// round 0 never occurs, so a fresh job is undecided.
+  std::uint64_t decided_round_ = 0;
+  Priority decided_priority_;
 
   std::size_t step_index_ = 0;
   Tick remaining_in_step_;

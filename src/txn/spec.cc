@@ -102,7 +102,11 @@ Status ValidateSpec(const TransactionSpec& spec, int index) {
 
 TransactionSet::TransactionSet(std::vector<TransactionSpec> specs)
     : specs_(std::move(specs)) {
+  read_sets_.reserve(specs_.size());
+  write_sets_.reserve(specs_.size());
   for (const TransactionSpec& spec : specs_) {
+    read_sets_.push_back(spec.ReadSet());
+    write_sets_.push_back(spec.WriteSet());
     for (const Step& step : spec.body) {
       if (step.kind != StepKind::kCompute) {
         item_count_ = std::max(item_count_, step.item + 1);
@@ -160,6 +164,16 @@ const TransactionSpec& TransactionSet::spec(SpecId id) const {
 Priority TransactionSet::priority(SpecId id) const {
   PCPDA_CHECK(id >= 0 && id < size());
   return PriorityForSpecIndex(id, size());
+}
+
+const std::set<ItemId>& TransactionSet::ReadSet(SpecId id) const {
+  PCPDA_CHECK(id >= 0 && id < size());
+  return read_sets_[static_cast<std::size_t>(id)];
+}
+
+const std::set<ItemId>& TransactionSet::WriteSet(SpecId id) const {
+  PCPDA_CHECK(id >= 0 && id < size());
+  return write_sets_[static_cast<std::size_t>(id)];
 }
 
 Tick TransactionSet::RelativeDeadline(SpecId id) const {

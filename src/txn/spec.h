@@ -77,6 +77,10 @@ class TransactionSet {
   const TransactionSpec& spec(SpecId id) const;
   /// P_i in the paper. Higher for smaller i.
   Priority priority(SpecId id) const;
+  /// TransactionSpec::ReadSet / WriteSet of spec `id`, computed once at
+  /// construction so the locking rules read them without allocating.
+  const std::set<ItemId>& ReadSet(SpecId id) const;
+  const std::set<ItemId>& WriteSet(SpecId id) const;
   /// Deadline relative to release, or kNoTick if the spec has none.
   Tick RelativeDeadline(SpecId id) const;
 
@@ -97,6 +101,9 @@ class TransactionSet {
   explicit TransactionSet(std::vector<TransactionSpec> specs);
 
   std::vector<TransactionSpec> specs_;
+  /// Parallel to specs_.
+  std::vector<std::set<ItemId>> read_sets_;
+  std::vector<std::set<ItemId>> write_sets_;
   ItemId item_count_ = 0;
 };
 

@@ -1,10 +1,18 @@
-// Golden determinism test: a full simulator run over
-// scenarios/example3_faulty.scn must be byte-identical — trace events,
-// per-tick schedule, metrics, history and audit verdict — for every
-// protocol, run after run and engine rewrite after engine rewrite. The
-// golden file was recorded from the pre-event-driven (per-tick full-scan)
-// engine, so it pins the event-driven core to the exact behavior of its
-// predecessor. Regenerate deliberately with
+// Golden determinism tests: a full simulator run must be byte-identical
+// — trace events, per-tick schedule, metrics, history and audit verdict —
+// for every protocol, run after run and engine rewrite after engine
+// rewrite. Two scenarios are pinned:
+//
+//  - scenarios/example3_faulty.scn, recorded from the pre-event-driven
+//    (per-tick full-scan) engine: fault plan, auditor, deadlock aborts on
+//    a handful of jobs.
+//  - a generated contended workload (MakeContended below), recorded
+//    before dispatch resolution became incremental: Poisson releases past
+//    saturation, an active set above 50, transitive inheritance chains
+//    and 2PL-HP abort rounds — the shape where the dispatch fixpoint does
+//    real work.
+//
+// Regenerate deliberately with
 //
 //   PCPDA_REGEN_GOLDEN=1 ./tests/determinism_test
 //
@@ -14,13 +22,19 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "sched/simulator.h"
+#include "sim/arrival_schedule.h"
+#include "workload/generator.h"
 #include "workload/scenario.h"
 
 namespace pcpda {
@@ -59,15 +73,18 @@ std::string RenderTick(const TickRecord& record) {
 /// One protocol's full run rendered as text. Everything observable lands
 /// here: any engine change that perturbs the schedule shows up as a diff.
 /// With a plan the run goes through the compiled path; the contract is
-/// that both paths render byte-identically.
+/// that both paths render byte-identically. `arrivals` overrides the
+/// periodic release calendar.
 std::string RenderRun(const Scenario& scenario, ProtocolKind kind,
-                      const CompiledPlan* plan = nullptr) {
+                      const CompiledPlan* plan = nullptr,
+                      const ArrivalSchedule* arrivals = nullptr) {
   auto protocol = MakeProtocol(kind);
   SimulatorOptions options;
   options.horizon = scenario.horizon;
   options.faults = scenario.faults;
   options.audit = true;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+  options.arrival_schedule = arrivals;
   const SimResult result = [&] {
     if (plan != nullptr) {
       Simulator sim(*plan, protocol.get(), options);
@@ -91,19 +108,19 @@ std::string RenderRun(const Scenario& scenario, ProtocolKind kind,
   return out.str();
 }
 
-std::string RenderAllProtocols(const Scenario& scenario) {
+std::string RenderAllProtocols(const Scenario& scenario,
+                               const ArrivalSchedule* arrivals = nullptr) {
   std::ostringstream out;
   for (ProtocolKind kind : AllProtocolKinds()) {
-    out << RenderRun(scenario, kind);
+    out << RenderRun(scenario, kind, nullptr, arrivals);
   }
   return out.str();
 }
 
-TEST(DeterminismTest, GoldenExample3FaultyAllProtocols) {
-  const Scenario scenario = LoadScenario();
-  const std::string actual = RenderAllProtocols(scenario);
-  const std::string golden_path =
-      SourcePath("tests/golden/example3_faulty.golden");
+/// Compares `actual` with the golden file at `relative` (or rewrites the
+/// file under PCPDA_REGEN_GOLDEN), reporting the first divergence.
+void ExpectMatchesGolden(const std::string& actual, const char* relative) {
+  const std::string golden_path = SourcePath(relative);
 
   if (std::getenv("PCPDA_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary);
@@ -131,6 +148,11 @@ TEST(DeterminismTest, GoldenExample3FaultyAllProtocols) {
            << want.substr(from, 240) << "\n--- actual:\n"
            << actual.substr(from, 240);
   }
+}
+
+TEST(DeterminismTest, GoldenExample3FaultyAllProtocols) {
+  ExpectMatchesGolden(RenderAllProtocols(LoadScenario()),
+                      "tests/golden/example3_faulty.golden");
 }
 
 // The compiled path (one CompiledPlan shared by all 8 protocols, dense
@@ -182,6 +204,197 @@ TEST(DeterminismTest, BackToBackRunsAreIdentical) {
   for (ProtocolKind kind : AllProtocolKinds()) {
     EXPECT_EQ(RenderRun(scenario, kind), RenderRun(scenario, kind))
         << "protocol " << ToString(kind) << " is not deterministic";
+  }
+}
+
+// --- Contended workload --------------------------------------------------
+
+/// A generated write-heavy set over few items, released by a Poisson
+/// schedule at well past the processor's capacity with the default
+/// kContinue miss policy, so the backlog (and the active set) grows for
+/// the whole horizon.
+struct ContendedInput {
+  Scenario scenario;
+  ArrivalSchedule arrivals;
+};
+
+ContendedInput MakeContended() {
+  Rng rng(2);
+  WorkloadParams params;
+  params.num_transactions = 8;
+  params.num_items = 10;
+  params.total_utilization = 0.9;
+  params.write_fraction = 0.6;
+  params.min_period = 10;
+  params.max_period = 60;
+  auto set = GenerateWorkload(params, rng);
+  EXPECT_TRUE(set.ok()) << set.status().ToString();
+  const Tick horizon = 130;
+  ArrivalSchedule arrivals =
+      ArrivalSchedule::Poisson(*set, horizon, /*load=*/1.8, rng);
+  return {Scenario{"contended", std::move(set).value(), horizon, {}, {}, {},
+                   {}},
+          std::move(arrivals)};
+}
+
+TEST(DeterminismTest, GoldenContendedAllProtocols) {
+  const ContendedInput input = MakeContended();
+  ExpectMatchesGolden(RenderAllProtocols(input.scenario, &input.arrivals),
+                      "tests/golden/contended_poisson.golden");
+}
+
+/// Test-only spy: forwards every Protocol virtual to the wrapped protocol
+/// and records what reached Decide. Protocol::Attach is not virtual, so
+/// the wrapped protocol is bound lazily to the spy's view.
+class DecideSpy final : public Protocol {
+ public:
+  explicit DecideSpy(std::unique_ptr<Protocol> inner)
+      : inner_(std::move(inner)) {}
+
+  const char* name() const override { return inner_->name(); }
+  UpdateModel update_model() const override {
+    return inner_->update_model();
+  }
+  bool uses_priority_inheritance() const override {
+    return inner_->uses_priority_inheritance();
+  }
+  CeilingRule ceiling_rule() const override {
+    return inner_->ceiling_rule();
+  }
+  bool releases_early() const override { return inner_->releases_early(); }
+
+  LockDecision Decide(const LockRequest& request) const override {
+    Bind();
+    ++calls_;
+    const auto key = std::make_tuple(view().now(), request.job->id(),
+                                     request.job->running_priority());
+    if (!seen_.insert(key).second) ++repeats_;
+    max_active_ = std::max(max_active_,
+                           view().LiveJobs(request.job->id()).size() + 1);
+    return inner_->Decide(request);
+  }
+  std::vector<std::pair<ItemId, LockMode>> EarlyReleases(
+      const Job& job) const override {
+    Bind();
+    return inner_->EarlyReleases(job);
+  }
+  Priority CurrentCeiling() const override {
+    Bind();
+    return inner_->CurrentCeiling();
+  }
+  std::vector<JobId> CommitVictims(const Job& committing) const override {
+    Bind();
+    return inner_->CommitVictims(committing);
+  }
+  void OnCommitApplied(const Job& committed) override {
+    Bind();
+    inner_->OnCommitApplied(committed);
+  }
+  void OnAbortApplied(const Job& aborted) override {
+    Bind();
+    inner_->OnAbortApplied(aborted);
+  }
+
+  std::int64_t calls() const { return calls_; }
+  /// Decide calls whose (tick, job, running priority) was already asked.
+  std::int64_t repeats() const { return repeats_; }
+  std::size_t max_active() const { return max_active_; }
+
+ private:
+  void Bind() const {
+    if (bound_ != &view()) {
+      inner_->Attach(&view());
+      bound_ = &view();
+    }
+  }
+
+  std::unique_ptr<Protocol> inner_;
+  mutable const SimView* bound_ = nullptr;
+  mutable std::int64_t calls_ = 0;
+  mutable std::int64_t repeats_ = 0;
+  mutable std::size_t max_active_ = 0;
+  mutable std::set<std::tuple<Tick, JobId, Priority>> seen_;
+};
+
+SimResult RunContended(const ContendedInput& input, Protocol* protocol) {
+  SimulatorOptions options;
+  options.horizon = input.scenario.horizon;
+  options.audit = true;
+  options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+  options.arrival_schedule = &input.arrivals;
+  Simulator sim(&input.scenario.set, protocol, options);
+  return sim.Run();
+}
+
+// The workload really is the contended shape the golden claims: a large
+// active set, an inheritance chain two edges deep, and 2PL-HP restarts.
+TEST(DeterminismTest, ContendedWorkloadIsContended) {
+  const ContendedInput input = MakeContended();
+
+  DecideSpy spy(MakeProtocol(ProtocolKind::kPcpDa));
+  const SimResult pcp_da = RunContended(input, &spy);
+  ASSERT_TRUE(pcp_da.status.ok()) << pcp_da.status.ToString();
+  EXPECT_GT(spy.max_active(), 50u);
+
+  bool transitive = false;
+  for (const TickRecord& record : pcp_da.trace.ticks()) {
+    std::set<JobId> blocked;
+    for (const BlockedSample& sample : record.blocked) {
+      blocked.insert(sample.job);
+    }
+    for (const BlockedSample& sample : record.blocked) {
+      for (JobId blocker : sample.blockers) {
+        transitive = transitive || blocked.contains(blocker);
+      }
+    }
+  }
+  EXPECT_TRUE(transitive) << "no waiter blocked by a blocked job";
+
+  auto two_pl_hp = MakeProtocol(ProtocolKind::kTwoPlHp);
+  const SimResult hp = RunContended(input, two_pl_hp.get());
+  ASSERT_TRUE(hp.status.ok()) << hp.status.ToString();
+  EXPECT_GT(hp.metrics.TotalRestarts(), 0);
+}
+
+// Dispatch resolution asks Decide at most once per (tick, job, running
+// priority): within a tick the protocol's inputs other than the
+// requester's own running priority are fixed, so a repeat could only
+// return a known answer. PCP-DA and RW-PCP never abort, so every tick
+// is a single resolution round.
+TEST(DispatchMemoTest, NoRequestIsDecidedTwiceAtOnePriority) {
+  const ContendedInput input = MakeContended();
+  for (ProtocolKind kind : {ProtocolKind::kPcpDa, ProtocolKind::kRwPcp}) {
+    DecideSpy spy(MakeProtocol(kind));
+    const SimResult result = RunContended(input, &spy);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.metrics.TotalRestarts(), 0) << ToString(kind);
+    EXPECT_EQ(result.metrics.deadlocks, 0) << ToString(kind);
+    EXPECT_GT(spy.calls(), 0) << ToString(kind);
+    EXPECT_EQ(spy.repeats(), 0) << ToString(kind);
+    EXPECT_EQ(spy.calls(), result.metrics.lock_decisions) << ToString(kind);
+  }
+}
+
+// Exact Decide-call counts on the contended workload. A regression back
+// to re-deciding known answers fails on an exact number, not on wall
+// clock; a deliberate change to dispatch resolution updates this table.
+// Before the per-round memo the same runs made 10,873 (PCP-DA), 40,016
+// (RW-PCP, CCP), 37,728 (PCP), 11,529 (2PL-PI), 12,540 (2PL-HP) and
+// 3,569 (OCC-BC, OCC-DA) calls.
+TEST(DispatchMemoTest, LockDecisionCountsArePinned) {
+  const ContendedInput input = MakeContended();
+  const std::map<ProtocolKind, std::int64_t> expected = {
+      {ProtocolKind::kPcpDa, 3561},   {ProtocolKind::kRwPcp, 3555},
+      {ProtocolKind::kCcp, 3555},     {ProtocolKind::kOpcp, 3547},
+      {ProtocolKind::kTwoPlPi, 3674}, {ProtocolKind::kTwoPlHp, 3768},
+      {ProtocolKind::kOccBc, 3569},   {ProtocolKind::kOccDa, 3569},
+  };
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    auto protocol = MakeProtocol(kind);
+    const SimResult result = RunContended(input, protocol.get());
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.metrics.lock_decisions, expected.at(kind))
+        << ToString(kind);
   }
 }
 

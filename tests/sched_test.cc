@@ -82,6 +82,24 @@ TEST(WaitGraphTest, CycleBesideAcyclicPart) {
   ASSERT_TRUE(graph.FindCycle().has_value());
 }
 
+TEST(WaitGraphTest, CycleSearchReusesScratchAcrossCallsAndLargeIds) {
+  // Ids far apart: the search is sized by the graph, not the largest id.
+  WaitGraph graph;
+  graph.SetWaits(5'000'000, {7});
+  graph.SetWaits(7, {5'000'000});
+  auto cycle = graph.FindCycle();
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(*cycle, (std::vector<JobId>{7, 5'000'000}));
+  graph.ClearWaits(7);
+  EXPECT_FALSE(graph.FindCycle().has_value());
+  graph.SetWaits(3, {4});
+  graph.SetWaits(4, {9});
+  graph.SetWaits(9, {3});
+  cycle = graph.FindCycle();
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(*cycle, (std::vector<JobId>{3, 4, 9}));
+}
+
 TEST(WaitGraphTest, ClearRemovesEverything) {
   WaitGraph graph;
   graph.SetWaits(1, {2});
@@ -211,6 +229,26 @@ TEST_F(DispatchOrderTest, FifoWithinSpec) {
   EXPECT_EQ(order[0], &first);
 }
 
+TEST_F(DispatchOrderTest, ResortMatchesFullSortAfterPriorityMoves) {
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> order;
+  for (JobId id = 0; id < 8; ++id) {
+    jobs.push_back(std::make_unique<Job>(id, set_.get(), id % 2,
+                                         static_cast<int>(id), id / 3,
+                                         kNoTick));
+    order.push_back(jobs.back().get());
+  }
+  SortDispatchOrder(order);
+  // Inheritance raises two lo jobs, one above every base priority.
+  jobs[1]->set_running_priority(set_->priority(0));
+  jobs[7]->set_running_priority(Priority(9));
+  std::vector<Job*> expected = order;
+  SortDispatchOrder(expected);
+  ResortDispatchOrder(order);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(order.front(), jobs[7].get());
+}
+
 // --- Job -----------------------------------------------------------------
 
 class JobTest : public ::testing::Test {
@@ -286,6 +324,18 @@ TEST_F(JobTest, PrioritiesAndNames) {
   EXPECT_EQ(job.running_priority(), Priority(99));
   EXPECT_EQ(job.DebugName(), "T#2");
   EXPECT_EQ(job.write_set(), (std::set<ItemId>{1}));
+}
+
+TEST_F(JobTest, DecisionMemoKeysOnRoundAndRunningPriority) {
+  Job job(0, set_.get(), 0, 0, 0, kNoTick);
+  EXPECT_FALSE(job.DecidedInRound(1));
+  job.MarkDecided(1);
+  EXPECT_TRUE(job.DecidedInRound(1));
+  EXPECT_FALSE(job.DecidedInRound(2));
+  job.set_running_priority(Priority(99));
+  EXPECT_FALSE(job.DecidedInRound(1));
+  job.set_running_priority(set_->priority(0));
+  EXPECT_TRUE(job.DecidedInRound(1));
 }
 
 // --- Metrics -----------------------------------------------------------

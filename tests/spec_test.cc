@@ -57,6 +57,22 @@ TEST(TransactionSpecTest, DerivedSets) {
   EXPECT_EQ(spec.AccessSet(), (std::set<ItemId>{0, 1}));
 }
 
+TEST(TransactionSpecTest, SetCachesDerivedSetsPerSpec) {
+  auto set = TransactionSet::Create(
+      {OneShot("A", 0, {Read(0), Write(2), Read(1)}),
+       OneShot("B", 0, {Compute(1)})},
+      PriorityAssignment::kAsListed);
+  ASSERT_TRUE(set.ok());
+  for (SpecId i = 0; i < set->size(); ++i) {
+    EXPECT_EQ(set->ReadSet(i), set->spec(i).ReadSet());
+    EXPECT_EQ(set->WriteSet(i), set->spec(i).WriteSet());
+  }
+  EXPECT_EQ(set->ReadSet(0), (std::set<ItemId>{0, 1}));
+  EXPECT_TRUE(set->WriteSet(1).empty());
+  // Same object on every call: the locking rules read it by reference.
+  EXPECT_EQ(&set->WriteSet(0), &set->WriteSet(0));
+}
+
 TEST(TransactionSpecTest, ComputeOnlyBody) {
   TransactionSpec spec = OneShot("T", 0, {Compute(5)});
   EXPECT_EQ(spec.ExecutionTime(), 5);
