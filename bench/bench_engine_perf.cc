@@ -32,31 +32,43 @@ bool SmokeMode() { return std::getenv("PCPDA_BENCH_SMOKE") != nullptr; }
 
 Tick Horizon(Tick full) { return SmokeMode() ? std::min<Tick>(full, 300) : full; }
 
-TransactionSet SizedWorkload(int txns, int items, double utilization) {
+/// The generated bench workload, compiled once; every run shares it.
+CompiledPlan SizedPlan(int txns, int items, double utilization) {
   Rng rng(99);
   WorkloadParams params;
   params.num_transactions = txns;
   params.num_items = items;
   params.total_utilization = utilization;
-  auto set = GenerateWorkload(params, rng);
-  return std::move(set).value();
+  return CompiledPlan::CompileUnlinted(
+      {"bench_engine", GenerateWorkload(params, rng).value(), 0, {}, {}, {},
+       {}});
+}
+
+/// The sweep shape: trace and history off, deadlocks resolved by aborts.
+SimulatorOptions SweepOptions(Tick horizon) {
+  SimulatorOptions options;
+  options.horizon = horizon;
+  options.record_trace = false;
+  options.record_history = false;
+  options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+  return options;
+}
+
+SimResult RunPlan(const CompiledPlan& plan, ProtocolKind kind,
+                  const SimulatorOptions& options) {
+  auto protocol = MakeProtocol(kind);
+  Simulator sim(plan, protocol.get(), options);
+  return sim.Run();
 }
 
 void BM_SimulatorThroughput(benchmark::State& state) {
-  const TransactionSet set = SizedWorkload(
+  const CompiledPlan plan = SizedPlan(
       static_cast<int>(state.range(1)), 3 * static_cast<int>(state.range(1)),
       0.7);
   const auto kind = static_cast<ProtocolKind>(state.range(0));
   const Tick horizon = Horizon(5000);
   for (auto _ : state) {
-    auto protocol = MakeProtocol(kind);
-    SimulatorOptions options;
-    options.horizon = horizon;
-    options.record_trace = false;
-    options.record_history = false;
-    options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-    Simulator sim(&set, protocol.get(), options);
-    SimResult result = sim.Run();
+    SimResult result = RunPlan(plan, kind, SweepOptions(horizon));
     benchmark::DoNotOptimize(result.metrics.TotalCommitted());
   }
   state.SetItemsProcessed(state.iterations() * horizon);
@@ -74,19 +86,12 @@ BENCHMARK(BM_SimulatorThroughput)
 // tick 0 — and where the event-driven core's active-set scan and idle-gap
 // skip pay off. Tracked before/after in EXPERIMENTS.md.
 void BM_LongHorizonSweep(benchmark::State& state) {
-  const TransactionSet set =
-      SizedWorkload(8, 24, static_cast<double>(state.range(1)) / 100.0);
+  const CompiledPlan plan =
+      SizedPlan(8, 24, static_cast<double>(state.range(1)) / 100.0);
   const auto kind = static_cast<ProtocolKind>(state.range(0));
   const Tick horizon = Horizon(150000);
   for (auto _ : state) {
-    auto protocol = MakeProtocol(kind);
-    SimulatorOptions options;
-    options.horizon = horizon;
-    options.record_trace = false;
-    options.record_history = false;
-    options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
-    Simulator sim(&set, protocol.get(), options);
-    SimResult result = sim.Run();
+    SimResult result = RunPlan(plan, kind, SweepOptions(horizon));
     benchmark::DoNotOptimize(result.metrics.TotalCommitted());
   }
   state.SetItemsProcessed(state.iterations() * horizon);
@@ -102,16 +107,14 @@ BENCHMARK(BM_LongHorizonSweep)
 // (SimulatorOptions::max_trace_events) that keeps week-long horizons from
 // holding every event ever traced in memory.
 void BM_LongHorizonBoundedTrace(benchmark::State& state) {
-  const TransactionSet set = SizedWorkload(8, 24, 0.45);
+  const CompiledPlan plan = SizedPlan(8, 24, 0.45);
   const Tick horizon = Horizon(50000);
   for (auto _ : state) {
-    auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
     SimulatorOptions options;
     options.horizon = horizon;
     options.record_history = false;
     options.max_trace_events = static_cast<std::size_t>(state.range(0));
-    Simulator sim(&set, protocol.get(), options);
-    SimResult result = sim.Run();
+    SimResult result = RunPlan(plan, ProtocolKind::kPcpDa, options);
     benchmark::DoNotOptimize(result.trace.events().size());
   }
   state.SetItemsProcessed(state.iterations() * horizon);
@@ -120,16 +123,14 @@ BENCHMARK(BM_LongHorizonBoundedTrace)->Arg(0)->Arg(4096)->Unit(
     benchmark::kMillisecond);
 
 void BM_TraceRecordingOverhead(benchmark::State& state) {
-  const TransactionSet set = SizedWorkload(8, 24, 0.7);
+  const CompiledPlan plan = SizedPlan(8, 24, 0.7);
   const bool record = state.range(0) != 0;
   for (auto _ : state) {
-    auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
     SimulatorOptions options;
     options.horizon = 2000;
     options.record_trace = record;
     options.record_history = record;
-    Simulator sim(&set, protocol.get(), options);
-    SimResult result = sim.Run();
+    SimResult result = RunPlan(plan, ProtocolKind::kPcpDa, options);
     benchmark::DoNotOptimize(result.metrics.TotalCommitted());
   }
 }
@@ -150,71 +151,56 @@ void BM_LockTableOps(benchmark::State& state) {
 BENCHMARK(BM_LockTableOps);
 
 void BM_SerializabilityCheck(benchmark::State& state) {
-  const TransactionSet set = SizedWorkload(8, 24, 0.7);
-  auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
   SimulatorOptions options;
   options.horizon = 2000;
-  Simulator sim(&set, protocol.get(), options);
-  const SimResult result = sim.Run();
+  const SimResult result =
+      RunPlan(SizedPlan(8, 24, 0.7), ProtocolKind::kPcpDa, options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(IsSerializable(result.history));
   }
 }
 BENCHMARK(BM_SerializabilityCheck);
 
-// --- BENCH_engine.json: interpreted vs compiled, measured honestly -------
+// --- BENCH_engine.json: throughput plus a deterministic work counter ----
 //
 // The google-benchmark suite above tracks absolute engine throughput; this
-// harness additionally compares the interpreted per-run setup path
-// (Simulator builds StaticCeilings + ArrivalCalendar from scratch every
-// run) against the compiled path (one CompiledPlan shared across runs) and
-// emits a machine-readable report. Per (protocol, horizon) row: best-of-3
-// trials per arm, wall clock around construction + Run(). The rows land in
-// BENCH_engine.json ($PCPDA_BENCH_JSON overrides the path) with schema
+// harness emits a machine-readable report per (protocol, horizon) point,
+// every run sharing one CompiledPlan. Wall-clock figures are best-of-3
+// trials around construction + Run(); lock_decisions_per_run is the exact
+// RunMetrics::lock_decisions of one run, which depends only on the inputs.
+// The rows land in BENCH_engine.json ($PCPDA_BENCH_JSON overrides the
+// path) with schema
 //   {"smoke": bool, "rows": [{"protocol", "horizon", "ticks_per_sec",
-//     "ns_per_lock_decision", "compiled_speedup"}]}
-// and the bench-json ctest target asserts the JSON parses and every
-// compiled_speedup is >= 1.0 (the compiled arm does strictly less work).
+//     "ns_per_lock_decision", "lock_decisions_per_run"}]}
+// and the bench-json ctest target fails when any row's decision count is
+// above the committed baseline (bench/bench_engine_baseline.json) for its
+// (protocol, horizon), or has no baseline.
 
-struct EngineArm {
+struct EngineRow {
   double sec_per_run = 0.0;
   std::int64_t lock_decisions_per_run = 0;
 };
 
-/// One timed simulation; the construction cost is part of the measurement
-/// (that is the difference between the arms).
-double TimedRun(const TransactionSet& set, const CompiledPlan* plan,
-                ProtocolKind kind, Tick horizon,
+/// One timed simulation; construction is part of the measurement.
+double TimedRun(const CompiledPlan& plan, ProtocolKind kind, Tick horizon,
                 std::int64_t* lock_decisions) {
-  auto protocol = MakeProtocol(kind);
-  SimulatorOptions options;
-  options.horizon = horizon;
-  options.record_trace = false;
-  options.record_history = false;
-  options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+  const SimulatorOptions options = SweepOptions(horizon);
   const auto start = std::chrono::steady_clock::now();
-  SimResult result = [&] {
-    if (plan != nullptr) {
-      Simulator sim(*plan, protocol.get(), options);
-      return sim.Run();
-    }
-    Simulator sim(&set, protocol.get(), options);
-    return sim.Run();
-  }();
+  SimResult result = RunPlan(plan, kind, options);
   const auto stop = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(result.metrics.TotalCommitted());
   *lock_decisions = result.metrics.lock_decisions;
   return std::chrono::duration<double>(stop - start).count();
 }
 
-EngineArm MeasureArm(const TransactionSet& set, const CompiledPlan* plan,
-                     ProtocolKind kind, Tick horizon) {
-  EngineArm arm;
+EngineRow MeasureRow(const CompiledPlan& plan, ProtocolKind kind,
+                     Tick horizon) {
+  EngineRow row;
   // Calibrate: enough repetitions per trial to cover ~20ms, so short
   // horizons are not timer-noise-bound; slow protocols run once.
   std::int64_t decisions = 0;
-  const double probe = TimedRun(set, plan, kind, horizon, &decisions);
-  arm.lock_decisions_per_run = decisions;
+  const double probe = TimedRun(plan, kind, horizon, &decisions);
+  row.lock_decisions_per_run = decisions;
   int reps = 1;
   if (probe < 0.02) {
     reps = std::min<int>(256, static_cast<int>(0.02 / std::max(probe, 1e-7)) + 1);
@@ -223,12 +209,12 @@ EngineArm MeasureArm(const TransactionSet& set, const CompiledPlan* plan,
   for (int trial = 0; trial < 3; ++trial) {
     double total = 0.0;
     for (int r = 0; r < reps; ++r) {
-      total += TimedRun(set, plan, kind, horizon, &decisions);
+      total += TimedRun(plan, kind, horizon, &decisions);
     }
     best = std::min(best, total / reps);
   }
-  arm.sec_per_run = best;
-  return arm;
+  row.sec_per_run = best;
+  return row;
 }
 
 void WriteEngineBenchJson() {
@@ -245,40 +231,28 @@ void WriteEngineBenchJson() {
       {ProtocolKind::kRwPcp, Horizon(150000)},
       {ProtocolKind::kTwoPlHp, Horizon(1500)},
   };
-  const TransactionSet set = SizedWorkload(8, 24, 0.45);
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(
-      Scenario{"bench_engine", set, 0, {}, {}, {}, {}}, compile_options);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "BENCH_engine: compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return;
-  }
+  const CompiledPlan plan = SizedPlan(8, 24, 0.45);
 
   std::string json = "{\n";
   json += StrFormat("  \"smoke\": %s,\n  \"rows\": [\n",
                     SmokeMode() ? "true" : "false");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    const EngineArm interpreted =
-        MeasureArm(set, nullptr, p.kind, p.horizon);
-    const EngineArm fast =
-        MeasureArm(set, &compiled.value(), p.kind, p.horizon);
+    const EngineRow row = MeasureRow(plan, p.kind, p.horizon);
     const double ticks_per_sec =
-        static_cast<double>(p.horizon) / fast.sec_per_run;
+        static_cast<double>(p.horizon) / row.sec_per_run;
     const double ns_per_decision =
-        fast.lock_decisions_per_run > 0
-            ? fast.sec_per_run * 1e9 /
-                  static_cast<double>(fast.lock_decisions_per_run)
+        row.lock_decisions_per_run > 0
+            ? row.sec_per_run * 1e9 /
+                  static_cast<double>(row.lock_decisions_per_run)
             : 0.0;
-    const double speedup = interpreted.sec_per_run / fast.sec_per_run;
     json += StrFormat(
         "    {\"protocol\": \"%s\", \"horizon\": %lld, "
         "\"ticks_per_sec\": %.1f, \"ns_per_lock_decision\": %.2f, "
-        "\"compiled_speedup\": %.4f}%s\n",
+        "\"lock_decisions_per_run\": %lld}%s\n",
         ToString(p.kind), static_cast<long long>(p.horizon),
-        ticks_per_sec, ns_per_decision, speedup,
+        ticks_per_sec, ns_per_decision,
+        static_cast<long long>(row.lock_decisions_per_run),
         i + 1 < points.size() ? "," : "");
   }
   json += "  ]\n}\n";

@@ -49,10 +49,9 @@ inline int BenchJobs() {
 /// Shared batch helper for design-point grids: one RunSpec per
 /// (protocol, scenario) pair, protocol-major, executed on `runner`.
 /// Result index = kind_index * scenarios.size() + scenario_index.
-/// Each scenario is compiled once up front; all protocol runs over it
-/// share the plan (the interpreted path is the fallback for a scenario
-/// the compiler rejects, preserving the old behavior for bench inputs
-/// that carry lint warnings).
+/// Each scenario is compiled once up front (lint off: bench scenarios
+/// come from pre-validated generators); all protocol runs over it share
+/// the plan.
 inline std::vector<SimResult> RunGrid(BatchRunner& runner,
                                       const std::vector<Scenario>& scenarios,
                                       const std::vector<ProtocolKind>& kinds,
@@ -61,10 +60,7 @@ inline std::vector<SimResult> RunGrid(BatchRunner& runner,
   std::vector<CompiledPlan> plans;
   plans.reserve(scenarios.size());
   for (const Scenario& scenario : scenarios) {
-    CompileOptions compile;
-    compile.lint = false;  // bench scenarios are pre-validated generators
-    auto plan = CompiledPlan::Compile(scenario, compile);
-    plans.push_back(plan.ok() ? std::move(plan).value() : CompiledPlan{});
+    plans.push_back(CompiledPlan::CompileUnlinted(scenario));
   }
   std::vector<RunSpec> specs;
   specs.reserve(kinds.size() * scenarios.size());
@@ -75,7 +71,7 @@ inline std::vector<SimResult> RunGrid(BatchRunner& runner,
       spec.protocol = kind;
       spec.options = base_options;
       spec.pcp_da = pcp_da;
-      if (plans[i].ok()) spec.plan = &plans[i];
+      spec.plan = &plans[i];
       specs.push_back(std::move(spec));
     }
   }

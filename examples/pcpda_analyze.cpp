@@ -21,14 +21,13 @@
 // Exit codes (shared by every CLI in examples/): 0 all files pass the
 // --deny gate, 1 at least one file is denied, 2 usage or IO error.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
+#include "common/strings.h"
 #include "workload/scenario.h"
 
 using namespace pcpda;
@@ -90,23 +89,12 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--dir=", 0) == 0) {
-      const std::string dir = arg.substr(6);
-      std::error_code ec;
-      std::vector<std::string> found;
-      for (const auto& entry :
-           std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".scn") {
-          found.push_back(entry.path().string());
-        }
-      }
-      if (ec) {
-        std::fprintf(stderr, "cannot list %s: %s\n", dir.c_str(),
-                     ec.message().c_str());
+      const auto found = ListScenarioFiles(arg.substr(6));
+      if (!found.ok()) {
+        std::fprintf(stderr, "%s\n", found.status().ToString().c_str());
         return false;
       }
-      std::sort(found.begin(), found.end());
-      cli.files.insert(cli.files.end(), found.begin(), found.end());
+      cli.files.insert(cli.files.end(), found->begin(), found->end());
     } else if (arg.rfind("--format=", 0) == 0) {
       cli.format = arg.substr(9);
       if (cli.format != "text" && cli.format != "json") return false;
@@ -168,12 +156,7 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.format == "json") {
-    std::printf("[\n");
-    for (std::size_t i = 0; i < json_reports.size(); ++i) {
-      std::printf("%s%s\n", json_reports[i].c_str(),
-                  i + 1 < json_reports.size() ? "," : "");
-    }
-    std::printf("]\n");
+    std::fputs(RenderJsonArray(json_reports).c_str(), stdout);
   }
   if (io_error) return 2;
   return denied ? 1 : 0;

@@ -12,11 +12,9 @@
 // Exit codes (shared by every CLI in examples/): 0 all runs ok, 1 any
 // load/run failure, 2 usage or IO error.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -56,11 +54,11 @@ bool ParseFlag(const char* arg, const char* name, const char** value) {
   return true;
 }
 
-Tick FallbackHorizon(const Scenario& scenario, Tick override_horizon) {
-  if (scenario.horizon > 0) return scenario.horizon;
-  if (override_horizon > 0) return override_horizon;
-  const Tick hyper = scenario.set.Hyperperiod();
-  return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
+/// The scenario's horizon, then --horizon, then twice the hyperperiod.
+Tick BatchHorizon(const CompiledPlan& plan, Tick override_horizon) {
+  return plan.scenario().horizon <= 0 && override_horizon > 0
+             ? override_horizon
+             : plan.horizon();
 }
 
 std::string CsvRow(const std::string& name, ProtocolKind kind,
@@ -124,28 +122,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".scn") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    std::fprintf(stderr, "cannot read %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
+  const auto paths = ListScenarioFiles(dir);
+  if (!paths.ok()) {
+    std::fprintf(stderr, "%s\n", paths.status().ToString().c_str());
     return 2;
   }
-  if (paths.empty()) {
+  if (paths->empty()) {
     std::fprintf(stderr, "no .scn files in %s\n", dir.c_str());
     return 2;
   }
-  std::sort(paths.begin(), paths.end());
 
+  // Each scenario is compiled once (after the lint pre-flight, when it
+  // was requested); its 8 protocol runs share the lowered plan.
   bool failed = false;
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(paths.size());
-  for (const std::string& path : paths) {
+  std::vector<CompiledPlan> plans;
+  plans.reserve(paths->size());
+  for (const std::string& path : *paths) {
     auto scenario = LoadScenarioFile(path);
     if (!scenario.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
@@ -167,33 +159,20 @@ int main(int argc, char** argv) {
         continue;
       }
     }
-    scenarios.push_back(std::move(scenario).value());
-  }
-
-  // Compile each scenario once (lint has already run above when it was
-  // requested); the 8 protocol runs share the lowered plan. A scenario
-  // the compiler rejects simply runs interpreted.
-  std::vector<CompiledPlan> plans;
-  plans.reserve(scenarios.size());
-  for (const Scenario& scenario : scenarios) {
-    CompileOptions compile_options;
-    compile_options.lint = false;
-    auto compiled = CompiledPlan::Compile(scenario, compile_options);
-    plans.push_back(compiled.ok() ? std::move(compiled).value()
-                                  : CompiledPlan{});
+    plans.push_back(
+        CompiledPlan::CompileUnlinted(std::move(scenario).value()));
   }
 
   const std::vector<ProtocolKind> kinds = AllProtocolKinds();
   std::vector<RunSpec> specs;
-  specs.reserve(scenarios.size() * kinds.size());
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const Scenario& scenario = scenarios[s];
+  specs.reserve(plans.size() * kinds.size());
+  for (const CompiledPlan& plan : plans) {
     for (ProtocolKind kind : kinds) {
       RunSpec spec;
-      spec.scenario = &scenario;
-      if (plans[s].ok()) spec.plan = &plans[s];
+      spec.scenario = &plan.scenario();
+      spec.plan = &plan;
       spec.protocol = kind;
-      spec.options.horizon = FallbackHorizon(scenario, horizon_override);
+      spec.options.horizon = BatchHorizon(plan, horizon_override);
       spec.options.audit = true;
       spec.options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
       specs.push_back(std::move(spec));
@@ -227,7 +206,7 @@ int main(int argc, char** argv) {
     }
     out << report;
     std::printf("%zu runs (%zu scenarios x %zu protocols, jobs=%d) -> %s\n",
-                specs.size(), scenarios.size(), kinds.size(),
+                specs.size(), plans.size(), kinds.size(),
                 runner.jobs(), csv_path.c_str());
   }
   return failed ? 1 : 0;

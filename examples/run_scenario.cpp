@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 
 #include "common/parse.h"
 #include "history/serialization_graph.h"
@@ -29,26 +28,16 @@ using namespace pcpda;
 
 namespace {
 
-SimResult Simulate(const Scenario& scenario, const CompiledPlan* plan,
-                   Protocol* protocol, const SimulatorOptions& options) {
-  if (plan != nullptr && plan->ok()) {
-    Simulator simulator(*plan, protocol, options);
-    return simulator.Run();
-  }
-  Simulator simulator(&scenario.set, protocol, options);
-  return simulator.Run();
-}
-
-bool RunOne(const Scenario& scenario, const CompiledPlan* plan,
-            ProtocolKind kind, Tick horizon) {
+bool RunOne(const CompiledPlan& plan, ProtocolKind kind, Tick horizon) {
+  const Scenario& scenario = plan.scenario();
   auto protocol = MakeProtocol(kind);
   SimulatorOptions options;
   options.horizon = horizon;
   options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
   options.faults = scenario.faults;
   options.audit = true;
-  const SimResult result =
-      Simulate(scenario, plan, protocol.get(), options);
+  Simulator simulator(plan, protocol.get(), options);
+  const SimResult result = simulator.Run();
   if (!result.status.ok() && result.audit.ok()) {
     std::printf("--- %s ---\n%s\n\n", ToString(kind),
                 result.status.ToString().c_str());
@@ -84,7 +73,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  const auto scenario = LoadScenarioFile(argv[1]);
+  auto scenario = LoadScenarioFile(argv[1]);
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 2;
@@ -101,34 +90,34 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  Tick horizon = scenario->horizon;
-  if (argc > 3) {
-    // 0 is legal and means "fall back to twice the hyperperiod" below.
-    if (!ParseFlagTick("horizon", argv[3], 0,
-                       std::numeric_limits<Tick>::max(), &horizon)) {
-      return 2;
-    }
+  // Lower the scenario once; every protocol run below shares the plan.
+  // (Lint already ran above when requested, so compile without it.)
+  const CompiledPlan plan =
+      CompiledPlan::CompileUnlinted(std::move(scenario).value());
+  const TransactionSet& set = plan.set();
+
+  // 0 (or no argument) takes the plan's horizon: the scenario's own,
+  // else twice the hyperperiod.
+  Tick horizon = 0;
+  if (argc > 3 && !ParseFlagTick("horizon", argv[3], 0,
+                                 std::numeric_limits<Tick>::max(),
+                                 &horizon)) {
+    return 2;
   }
-  if (horizon <= 0) horizon = 2 * scenario->set.Hyperperiod();
+  if (horizon <= 0) horizon = plan.horizon();
   if (horizon <= 0) {
-    std::fprintf(stderr,
-                 "scenario has no horizon and no periodic transactions; "
-                 "pass one explicitly\n");
+    std::fputs(set.Hyperperiod() > 0
+                   ? "scenario has no horizon and its hyperperiod is too "
+                     "large to simulate twice; pass one explicitly\n"
+                   : "scenario has no horizon and no periodic "
+                     "transactions; pass one explicitly\n",
+               stderr);
     return 2;
   }
 
   std::printf("scenario %s (%d transactions, %d items, horizon %lld)\n\n",
-              scenario->name.c_str(), scenario->set.size(),
-              scenario->set.item_count(),
+              plan.scenario().name.c_str(), set.size(), set.item_count(),
               static_cast<long long>(horizon));
-
-  // Lower the scenario once; every protocol run below shares the plan.
-  // (Lint already ran above when requested, so compile without it; a
-  // scenario the compiler rejects runs interpreted as before.)
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(*scenario, compile_options);
-  const CompiledPlan* plan = compiled.ok() ? &compiled.value() : nullptr;
 
   bool all_ok = true;
   if (argc > 2) {
@@ -137,10 +126,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown protocol %s\n", argv[2]);
       return 2;
     }
-    all_ok = RunOne(*scenario, plan, *kind, horizon);
+    all_ok = RunOne(plan, *kind, horizon);
   } else {
     for (ProtocolKind kind : AllProtocolKinds()) {
-      all_ok = RunOne(*scenario, plan, kind, horizon) && all_ok;
+      all_ok = RunOne(plan, kind, horizon) && all_ok;
     }
   }
   return all_ok ? 0 : 1;

@@ -46,4 +46,13 @@ std::string Priority::DebugString() const {
   return StrFormat("prio(%d)", level_);
 }
 
+std::string RenderJsonArray(const std::vector<std::string>& elements) {
+  std::string out = "[\n";
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    out += elements[i];
+    out += i + 1 < elements.size() ? ",\n" : "\n";
+  }
+  return out + "]\n";
+}
+
 }  // namespace pcpda

@@ -21,6 +21,10 @@ std::string PadRight(std::string s, std::size_t width);
 /// Pads `s` with spaces on the left to at least `width` characters.
 std::string PadLeft(std::string s, std::size_t width);
 
+/// Renders already-serialized JSON values as a JSON array, one element
+/// per line: "[\n" a ",\n" b "\n]\n" ("[\n]\n" when empty).
+std::string RenderJsonArray(const std::vector<std::string>& elements);
+
 }  // namespace pcpda
 
 #endif  // PCPDA_COMMON_STRINGS_H_

@@ -137,15 +137,10 @@ bool ScenarioFuzzer::CheckScenario(BatchRunner& runner,
 
   // Compile once (the lint gate already ran above; replayed corpus files
   // skip it the same way they always did), so the protocol x repeat
-  // fan-out shares one ceiling/calendar lowering. A scenario the
-  // compiler cannot take falls back to the interpreted fan-out.
-  CompileOptions compile_options;
-  compile_options.lint = false;
-  auto compiled = CompiledPlan::Compile(scenario, compile_options);
-  const std::vector<RunSpec> plan =
-      compiled.ok() ? PlanOracleRuns(compiled.value(), options_.oracles)
-                    : PlanOracleRuns(scenario, options_.oracles);
-  const std::vector<SimResult> results = runner.Run(plan);
+  // fan-out shares one ceiling/calendar lowering.
+  const CompiledPlan plan = CompiledPlan::CompileUnlinted(scenario);
+  const std::vector<SimResult> results =
+      runner.Run(PlanOracleRuns(plan, options_.oracles));
   const OracleVerdict verdict =
       EvaluateOracleRuns(scenario, options_.oracles, results);
   if (verdict.ok()) return false;
@@ -192,22 +187,12 @@ bool ScenarioFuzzer::CheckScenario(BatchRunner& runner,
 
 bool ScenarioFuzzer::ReplayCorpus(BatchRunner& runner,
                                   FuzzReport& report) {
-  std::error_code ec;
-  std::vector<std::string> paths;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.replay_dir, ec)) {
-    if (entry.path().extension() == ".scn") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    report.io_status = Status::Internal(
-        StrFormat("cannot read replay dir %s: %s",
-                  options_.replay_dir.c_str(), ec.message().c_str()));
+  const auto paths = ListScenarioFiles(options_.replay_dir);
+  if (!paths.ok()) {
+    report.io_status = paths.status();
     return false;
   }
-  std::sort(paths.begin(), paths.end());
-  for (const std::string& path : paths) {
+  for (const std::string& path : *paths) {
     auto scenario = LoadScenarioFile(path);
     if (!scenario.ok()) {
       // A replay file that no longer parses is itself a finding: the

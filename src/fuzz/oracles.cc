@@ -15,11 +15,9 @@
 namespace pcpda {
 namespace {
 
+/// The oracle override first, then the plan's horizon resolution.
 Tick ResolveHorizon(const Scenario& scenario, const OracleOptions& options) {
-  if (options.horizon > 0) return options.horizon;
-  if (scenario.horizon > 0) return scenario.horizon;
-  const Tick hyper = scenario.set.Hyperperiod();
-  return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
+  return options.horizon > 0 ? options.horizon : DefaultHorizon(scenario);
 }
 
 std::unique_ptr<Protocol> MakeOracleProtocol(ProtocolKind kind,
@@ -328,41 +326,35 @@ std::string OracleVerdict::DebugString() const {
 
 OracleVerdict RunOracles(const Scenario& scenario,
                          const OracleOptions& options) {
-  const std::vector<RunSpec> plan = PlanOracleRuns(scenario, options);
+  const CompiledPlan plan = CompiledPlan::CompileUnlinted(scenario);
   std::vector<SimResult> results;
-  results.reserve(plan.size());
-  for (const RunSpec& spec : plan) {
+  for (const RunSpec& spec : PlanOracleRuns(plan, options)) {
     results.push_back(BatchRunner::RunOne(spec));
   }
   return EvaluateOracleRuns(scenario, options, results);
 }
 
-std::vector<RunSpec> PlanOracleRuns(const Scenario& scenario,
+std::vector<RunSpec> PlanOracleRuns(const CompiledPlan& plan,
                                     const OracleOptions& options) {
-  const Tick horizon = ResolveHorizon(scenario, options);
+  const Tick horizon =
+      options.horizon > 0 ? options.horizon : plan.horizon();
   if (horizon <= 0) return {};
   const int repeats = options.check_determinism ? 2 : 1;
   std::vector<RunSpec> specs;
   for (ProtocolKind kind : ResolveKinds(options)) {
     for (int repeat = 0; repeat < repeats; ++repeat) {
       RunSpec spec;
-      spec.scenario = &scenario;
+      spec.scenario = &plan.scenario();
+      spec.plan = &plan;
       spec.protocol = kind;
       spec.pcp_da = options.pcp_da;
       spec.options.horizon = horizon;
-      spec.options.faults = scenario.faults;
+      spec.options.faults = plan.scenario().faults;
       spec.options.audit = true;
       spec.options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
       specs.push_back(std::move(spec));
     }
   }
-  return specs;
-}
-
-std::vector<RunSpec> PlanOracleRuns(const CompiledPlan& plan,
-                                    const OracleOptions& options) {
-  std::vector<RunSpec> specs = PlanOracleRuns(plan.scenario(), options);
-  for (RunSpec& spec : specs) spec.plan = &plan;
   return specs;
 }
 

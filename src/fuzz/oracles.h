@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/pcp_da.h"
+#include "plan/compiled_plan.h"
 #include "protocols/factory.h"
 #include "runner/batch_runner.h"
 #include "workload/scenario.h"
@@ -101,19 +102,13 @@ struct OracleVerdict {
 OracleVerdict RunOracles(const Scenario& scenario,
                          const OracleOptions& options);
 
-/// The simulation jobs RunOracles would execute for `scenario`: per
-/// configured protocol one run, plus an adjacent re-run when
-/// check_determinism is set. Empty when the scenario has no usable
-/// horizon (EvaluateOracleRuns then reports the config failure). The
-/// returned specs point into `scenario`, which must outlive them.
-std::vector<RunSpec> PlanOracleRuns(const Scenario& scenario,
-                                    const OracleOptions& options);
-
-/// Compiled variant: the same fan-out with every spec sharing `plan` —
-/// one ceiling/calendar lowering for all protocol x repeat runs instead
-/// of one per run. The specs point into `plan` (and its owned scenario),
-/// which must outlive them. Results are byte-identical to the Scenario
-/// overload on the scenario the plan was compiled from.
+/// The simulation jobs RunOracles would execute for the plan's scenario:
+/// per configured protocol one run, plus an adjacent re-run when
+/// check_determinism is set, every spec sharing `plan` — one
+/// ceiling/calendar lowering for all protocol x repeat runs. Empty when
+/// the scenario has no usable horizon (EvaluateOracleRuns then reports
+/// the config failure). The specs point into `plan` (and its owned
+/// scenario), which must outlive them.
 std::vector<RunSpec> PlanOracleRuns(const CompiledPlan& plan,
                                     const OracleOptions& options);
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "analysis/blocking.h"
 #include "analysis/response_time.h"
@@ -566,13 +564,9 @@ LintReport LintScenarioText(const std::string& text,
 
 StatusOr<LintReport> LintScenarioFile(const std::string& path,
                                       const LintOptions& options) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open scenario file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return LintScenarioText(buffer.str(), options);
+  auto text = ReadScenarioFile(path);
+  if (!text.ok()) return text.status();
+  return LintScenarioText(*text, options);
 }
 
 LintOptions LintFilterOptions() {

@@ -7,14 +7,6 @@
 namespace pcpda {
 namespace {
 
-/// Horizon resolution shared with the oracle planner: explicit scenario
-/// horizon wins, else twice the hyperperiod, else 0 ("caller decides").
-Tick ResolveHorizon(const Scenario& scenario) {
-  if (scenario.horizon > 0) return scenario.horizon;
-  const Tick hyper = scenario.set.Hyperperiod();
-  return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
-}
-
 void SetBit(std::vector<std::uint64_t>& bits, std::size_t words_per_spec,
             SpecId spec, ItemId item) {
   const std::size_t word = static_cast<std::size_t>(spec) * words_per_spec +
@@ -23,6 +15,12 @@ void SetBit(std::vector<std::uint64_t>& bits, std::size_t words_per_spec,
 }
 
 }  // namespace
+
+Tick DefaultHorizon(const Scenario& scenario) {
+  if (scenario.horizon > 0) return scenario.horizon;
+  const Tick hyper = scenario.set.Hyperperiod();
+  return hyper > 0 && hyper < kNoTick / 2 ? 2 * hyper : 0;
+}
 
 StatusOr<CompiledPlan> CompiledPlan::Compile(Scenario scenario,
                                              const CompileOptions& options) {
@@ -33,9 +31,12 @@ StatusOr<CompiledPlan> CompiledPlan::Compile(Scenario scenario,
                                      report.Render(scenario.name));
     }
   }
+  return CompileUnlinted(std::move(scenario));
+}
 
+CompiledPlan CompiledPlan::CompileUnlinted(Scenario scenario) {
   auto impl = std::make_shared<Impl>(std::move(scenario));
-  impl->resolved_horizon = ResolveHorizon(impl->scenario);
+  impl->resolved_horizon = DefaultHorizon(impl->scenario);
 
   const TransactionSet& set = impl->scenario.set;
   const std::size_t words =

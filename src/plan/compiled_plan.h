@@ -18,10 +18,17 @@ struct CompileOptions {
   /// Run the static analyzer as a compile gate: scenarios with lint
   /// errors are refused (InvalidArgument carrying the rendered report).
   /// Callers that have already linted — or that compile generated
-  /// workloads the generator guarantees well-formed — turn this off to
-  /// keep behavior and cost identical to the interpreted path.
+  /// workloads the generator guarantees well-formed — turn this off
+  /// (or call CompiledPlan::CompileUnlinted). With lint off, Compile
+  /// cannot fail.
   bool lint = true;
 };
+
+/// The one horizon resolution every runner shares: the scenario's
+/// declared horizon, else twice the hyperperiod, else 0 when neither is
+/// usable (no periodic transactions, or a hyperperiod too large to
+/// double). CompiledPlan::horizon() caches it.
+Tick DefaultHorizon(const Scenario& scenario);
 
 /// The compile-once/execute-many artifact of ROADMAP item 4: everything
 /// that is static per scenario, lowered exactly once.
@@ -49,6 +56,9 @@ class CompiledPlan {
   /// Lowers a parsed scenario. The scenario is moved into the plan.
   static StatusOr<CompiledPlan> Compile(Scenario scenario,
                                         const CompileOptions& options = {});
+  /// Compile with the lint gate off, which cannot fail: for callers that
+  /// have already linted, or that lower generated workloads.
+  static CompiledPlan CompileUnlinted(Scenario scenario);
   /// Convenience for generated workloads: wraps a bare TransactionSet
   /// into a scenario named `name` and compiles it.
   static StatusOr<CompiledPlan> Compile(std::string name,
@@ -67,9 +77,7 @@ class CompiledPlan {
     return impl().initial_cursor;
   }
 
-  /// The scenario's declared horizon, falling back to twice the
-  /// hyperperiod (0 when neither is usable) — the same resolution the
-  /// batch CLIs apply.
+  /// DefaultHorizon of the scenario, resolved once at compile time.
   Tick horizon() const { return impl().resolved_horizon; }
 
   SpecId spec_count() const { return impl().scenario.set.size(); }

@@ -64,11 +64,10 @@ SimResult BatchRunner::RunOne(const RunSpec& spec) {
       spec.protocol == ProtocolKind::kPcpDa
           ? std::make_unique<PcpDa>(spec.pcp_da)
           : MakeProtocol(spec.protocol);
-  if (spec.plan != nullptr) {
-    Simulator simulator(*spec.plan, protocol.get(), options);
-    return simulator.Run();
-  }
-  Simulator simulator(&spec.scenario->set, protocol.get(), options);
+  const CompiledPlan plan = spec.plan != nullptr
+                               ? *spec.plan
+                               : CompiledPlan::CompileUnlinted(*spec.scenario);
+  Simulator simulator(plan, protocol.get(), options);
   return simulator.Run();
 }
 

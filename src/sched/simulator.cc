@@ -6,41 +6,25 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "sched/scheduler.h"
-#include "sim/calendar.h"
 
 namespace pcpda {
 
 Simulator::Simulator(const TransactionSet* set, Protocol* protocol,
                      SimulatorOptions options)
-    : Simulator(set, /*plan=*/nullptr, protocol, std::move(options)) {}
+    : Simulator(CompiledPlan::CompileUnlinted({"", *set, 0, {}, {}, {}, {}}),
+                protocol, std::move(options)) {}
 
 Simulator::Simulator(const CompiledPlan& plan, Protocol* protocol,
                      SimulatorOptions options)
-    : Simulator(&plan.set(), &plan, protocol, std::move(options)) {}
-
-Simulator::Simulator(const TransactionSet* set, const CompiledPlan* plan,
-                     Protocol* protocol, SimulatorOptions options)
-    : set_(set),
+    : plan_(plan),
+      set_(&plan_.set()),
+      ceilings_(&plan_.ceilings()),
       protocol_(protocol),
       options_(std::move(options)),
-      plan_(plan != nullptr ? *plan : CompiledPlan{}),
-      owned_ceilings_(plan != nullptr
-                          ? nullptr
-                          : std::make_unique<const StaticCeilings>(*set)),
-      ceilings_(plan != nullptr ? &plan_.ceilings() : owned_ceilings_.get()),
-      database_(set->item_count()),
-      lock_table_(set->item_count()) {
-  PCPDA_CHECK(set != nullptr);
+      database_(set_->item_count()),
+      lock_table_(set_->item_count()),
+      calendar_cursor_(plan_.MakeCursor()) {
   PCPDA_CHECK(protocol != nullptr);
-  if (options_.arrival_schedule == nullptr) {
-    // The plan's prebuilt cursor is a byte-identical copy of what
-    // MakeCursor() would build from scratch — same heap, same pop order.
-    if (plan_.ok()) {
-      calendar_cursor_.emplace(plan_.MakeCursor());
-    } else {
-      calendar_cursor_.emplace(ArrivalCalendar(set_).MakeCursor());
-    }
-  }
 }
 
 Simulator::~Simulator() = default;
@@ -99,7 +83,7 @@ std::vector<Arrival> Simulator::TakeDueArrivals() {
         "arrival schedule fell behind the simulation clock");
     return due;
   }
-  return calendar_cursor_->PopAt(tick_);
+  return calendar_cursor_.PopAt(tick_);
 }
 
 Tick Simulator::NextArrivalTick() const {
@@ -108,7 +92,7 @@ Tick Simulator::NextArrivalTick() const {
         options_.arrival_schedule->arrivals();
     return schedule_pos_ < all.size() ? all[schedule_pos_].tick : kNoTick;
   }
-  return calendar_cursor_->NextTick();
+  return calendar_cursor_.NextTick();
 }
 
 void Simulator::ReleaseArrivals() {

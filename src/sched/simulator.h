@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,15 +117,14 @@ struct SimResult {
 /// by tests/determinism_test.cc).
 class Simulator : public SimView {
  public:
-  /// `set` and `protocol` must outlive the simulator. Builds the static
-  /// ceilings and the arrival cursor from scratch — the interpreted path.
+  /// Convenience for a bare set: compiles it into a plan (lint off,
+  /// which cannot fail) and delegates to the plan constructor. The plan
+  /// owns a copy of `set`; `protocol` must outlive the simulator.
   Simulator(const TransactionSet* set, Protocol* protocol,
             SimulatorOptions options);
-  /// Compiled path: reuses the plan's precomputed ceilings and arrival
-  /// cursor instead of rebuilding them per run. The simulator keeps a
-  /// copy of the plan (cheap: shared state), so `plan` itself need not
-  /// outlive it. Behavior is byte-identical to the interpreted ctor on
-  /// the same scenario (pinned by tests/determinism_test.cc).
+  /// Runs from the plan's precomputed ceilings and arrival cursor. The
+  /// simulator keeps a copy of the plan (cheap: shared state), so `plan`
+  /// itself need not outlive it.
   Simulator(const CompiledPlan& plan, Protocol* protocol,
             SimulatorOptions options);
   ~Simulator() override;
@@ -207,21 +205,15 @@ class Simulator : public SimView {
   bool NeedsLock(const Job& job) const;
   LockMode NeededMode(const Job& job) const;
 
-  /// Delegation target of both public ctors; `plan` may be null.
-  Simulator(const TransactionSet* set, const CompiledPlan* plan,
-            Protocol* protocol, SimulatorOptions options);
-
+  /// The compiled artifact this run executes. set_ and ceilings_ cache
+  /// pointers into it: the hot path reads them on every decision, and
+  /// the plan's accessors null-check on every call.
+  CompiledPlan plan_;
   const TransactionSet* set_;
+  const StaticCeilings* ceilings_;
   Protocol* protocol_;
   SimulatorOptions options_;
 
-  /// Holds the compiled artifact alive on the compiled path; empty
-  /// (ok() == false) on the interpreted path.
-  CompiledPlan plan_;
-  /// Built per run only when no plan supplies them.
-  std::unique_ptr<const StaticCeilings> owned_ceilings_;
-  /// Points into plan_ or at owned_ceilings_.
-  const StaticCeilings* ceilings_;
   Database database_;
   LockTable lock_table_;
   WaitGraph wait_graph_;
@@ -243,7 +235,7 @@ class Simulator : public SimView {
   /// still sees their final state.
   std::vector<const Job*> retired_this_tick_;
   /// Event source when no arrival-schedule override is set.
-  std::optional<ArrivalCalendar::Cursor> calendar_cursor_;
+  ArrivalCalendar::Cursor calendar_cursor_;
   /// Read position into options_.arrival_schedule->arrivals().
   std::size_t schedule_pos_ = 0;
   /// Jobs blocked this tick (job id -> details), rebuilt each tick.

@@ -1,8 +1,10 @@
 #include "workload/scenario.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -465,14 +467,43 @@ StatusOr<Scenario> ParseScenario(const std::string& text) {
   return scenario;
 }
 
-StatusOr<Scenario> LoadScenarioFile(const std::string& path) {
+StatusOr<std::string> ReadScenarioFile(const std::string& path) {
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec) &&
+      !std::filesystem::is_regular_file(path, ec)) {
+    return Status::InvalidArgument("not a regular file: " + path);
+  }
   std::ifstream file(path);
   if (!file) {
     return Status::NotFound("cannot open scenario file: " + path);
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  return ParseScenario(buffer.str());
+  return buffer.str();
+}
+
+StatusOr<Scenario> LoadScenarioFile(const std::string& path) {
+  auto text = ReadScenarioFile(path);
+  if (!text.ok()) return text.status();
+  return ParseScenario(*text);
+}
+
+StatusOr<std::vector<std::string>> ListScenarioFiles(const std::string& dir) {
+  std::error_code ec;
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::error_code entry_ec;  // a dangling symlink is skipped, not fatal
+    if (entry.is_regular_file(entry_ec) &&
+        entry.path().extension() == ".scn") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  if (ec) {
+    return Status::NotFound(
+        StrFormat("cannot list %s: %s", dir.c_str(), ec.message().c_str()));
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 std::string FormatScenario(const std::string& name,

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -103,8 +104,18 @@ struct Scenario {
 /// position ("line 12:5: ...").
 StatusOr<Scenario> ParseScenario(const std::string& text);
 
+/// Reads a scenario file's text. NotFound when `path` cannot be opened,
+/// InvalidArgument when it is not a regular file (a directory would
+/// otherwise read as an empty scenario).
+StatusOr<std::string> ReadScenarioFile(const std::string& path);
+
 /// Reads and parses a scenario file.
 StatusOr<Scenario> LoadScenarioFile(const std::string& path);
+
+/// The `*.scn` regular files directly under `dir`, sorted by path.
+/// Subdirectories and other non-regular entries are skipped whatever
+/// their name. NotFound when `dir` cannot be listed.
+StatusOr<std::vector<std::string>> ListScenarioFiles(const std::string& dir);
 
 /// Renders a transaction set back into the scenario format (round-trips
 /// through ParseScenario).

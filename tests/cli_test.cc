@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace pcpda {
@@ -101,10 +104,23 @@ TEST_F(JobsFromEnvTest, GarbageWarnsAndFallsBack) {
 
 #ifdef PCPDA_BINARY_DIR
 
-int RunCli(const std::string& command) {
+namespace fs = std::filesystem;
+
+/// Runs an example binary and returns its exit code. When `output` is
+/// set, it receives the binary's stdout and stderr.
+int RunCli(const std::string& command, std::string* output = nullptr) {
+  const std::string log = output != nullptr
+                              ? ::testing::TempDir() + "/cli_test_output.txt"
+                              : "/dev/null";
   const std::string full = std::string(PCPDA_BINARY_DIR "/examples/") +
-                           command + " >/dev/null 2>&1";
+                           command + " >" + log + " 2>&1";
   const int raw = std::system(full.c_str());
+  if (output != nullptr) {
+    std::ifstream in(log);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *output = text.str();
+  }
   return WEXITSTATUS(raw);
 }
 
@@ -135,6 +151,46 @@ TEST(CliRegressionTest, RunScenarioRejectsGarbageHorizon) {
   EXPECT_EQ(
       RunCli("run_scenario " + scn + " PCP-DA 99999999999999999999999"),
       2);
+}
+
+// --- spawned example binaries: horizon and scenario-directory edges -----
+
+TEST(CliRegressionTest, RunScenarioRefusesHyperperiodTooLargeToDouble) {
+  // The three periods' LCM saturates Hyperperiod(); doubling it would
+  // overflow into a negative horizon and blame "no periodic
+  // transactions".
+  const fs::path scn =
+      fs::path(::testing::TempDir()) / "cli_huge_hyperperiod.scn";
+  std::ofstream(scn) << "scenario huge_hyperperiod\n"
+                        "txn A period=1000000007\n  compute 1\nend\n"
+                        "txn B period=1000000009\n  compute 1\nend\n"
+                        "txn C period=998244353\n  compute 1\nend\n";
+  std::string output;
+  EXPECT_EQ(RunCli("run_scenario " + scn.string() + " PCP-DA", &output), 2);
+  EXPECT_NE(output.find("hyperperiod is too large"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("no periodic transactions"), std::string::npos)
+      << output;
+}
+
+TEST(CliRegressionTest, ScenarioDirectoryCommandsSkipSubdirectories) {
+  // A subdirectory named like a scenario is not a scenario: every
+  // directory walk skips it the same way.
+  const fs::path dir = fs::path(::testing::TempDir()) / "cli_scn_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "sub.scn");
+  fs::copy_file(PCPDA_SOURCE_DIR "/scenarios/example4.scn",
+                dir / "example4.scn");
+  const std::string flag = "--dir=" + dir.string();
+  std::string output;
+  EXPECT_EQ(RunCli("pcpda_batch " + flag + " --jobs=1", &output), 0)
+      << output;
+  EXPECT_EQ(RunCli("pcpda_lint " + flag, &output), 0) << output;
+  EXPECT_EQ(RunCli("pcpda_analyze --deny=none " + flag, &output), 0)
+      << output;
+  EXPECT_EQ(RunCli("pcpda_fuzz --iters=0 --replay=" + dir.string(), &output),
+            0)
+      << output;
 }
 
 #endif  // PCPDA_BINARY_DIR

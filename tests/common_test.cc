@@ -239,6 +239,13 @@ TEST(StringsTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+TEST(StringsTest, RenderJsonArrayOneElementPerLine) {
+  EXPECT_EQ(RenderJsonArray({}), "[\n]\n");
+  EXPECT_EQ(RenderJsonArray({"{}"}), "[\n{}\n]\n");
+  EXPECT_EQ(RenderJsonArray({"1", "{\"a\": 2}"}),
+            "[\n1,\n{\"a\": 2}\n]\n");
+}
+
 TEST(StringsTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ","), "a,b,c");
   EXPECT_EQ(Join({}, ","), "");

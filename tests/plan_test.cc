@@ -119,6 +119,13 @@ TEST(CompiledPlanTest, LintGateRejectsDirtyScenario) {
   no_lint.lint = false;
   auto forced = CompiledPlan::Compile(dirty, no_lint);
   EXPECT_TRUE(forced.ok()) << forced.status().ToString();
+
+  // CompileUnlinted is the same lowering without the fallible gate.
+  const CompiledPlan unlinted = CompiledPlan::CompileUnlinted(dirty);
+  EXPECT_TRUE(unlinted.ok());
+  EXPECT_EQ(unlinted.horizon(), forced->horizon());
+  EXPECT_EQ(unlinted.ceilings().DebugString(unlinted.set()),
+            forced->ceilings().DebugString(forced->set()));
 }
 
 TEST(CompiledPlanTest, CopiesShareTheImmutableArtifact) {

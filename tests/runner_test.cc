@@ -241,6 +241,23 @@ TEST(BatchRunnerTest, SeedOverrideReplacesFaultStream) {
       << "fault-seed override had no observable effect";
 }
 
+TEST(BatchRunnerTest, NullPlanMatchesSharedPlan) {
+  // RunOne compiles a plan of its own when the spec carries none; the
+  // result must be the one a shared plan gives, for every protocol.
+  const Scenario scenario = LoadFaultyScenario();
+  const CompiledPlan plan = CompiledPlan::CompileUnlinted(scenario);
+  for (RunSpec spec : AllProtocolSpecs(scenario)) {
+    ASSERT_EQ(spec.plan, nullptr);
+    const SimResult own = BatchRunner::RunOne(spec);
+    spec.plan = &plan;
+    const SimResult shared = BatchRunner::RunOne(spec);
+    EXPECT_EQ(RenderResult(scenario.set, own),
+              RenderResult(scenario.set, shared))
+        << "null plan diverged from the shared plan under "
+        << ToString(spec.protocol);
+  }
+}
+
 // --- BatchRunner: failure isolation ----------------------------------------
 
 TEST(BatchRunnerTest, NullScenarioFailsThatJobOnly) {

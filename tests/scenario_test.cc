@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 #include "workload/scenario.h"
@@ -257,6 +260,57 @@ TEST(ScenarioTest, FaultProbabilityRoundTripsExactly) {
 
 TEST(ScenarioTest, LoadScenarioFileMissing) {
   EXPECT_FALSE(LoadScenarioFile("/nonexistent/path.scn").ok());
+}
+
+// --- Scenario directories ------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the test temp dir holding b.scn, a.scn (both
+/// example 4), notes.txt, a subdirectory named sub.scn and a dangling
+/// symlink named dangling.scn.
+fs::path MakeScenarioDir(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) / ("scn_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir / "sub.scn");
+  for (const char* file : {"b.scn", "a.scn", "notes.txt"}) {
+    std::ofstream(dir / file) << kExample4Text;
+  }
+  std::ofstream(dir / "sub.scn" / "inner.scn") << kExample4Text;
+  fs::create_symlink(dir / "missing.scn", dir / "dangling.scn");
+  return dir;
+}
+
+TEST(ScenarioTest, ListScenarioFilesSortsAndSkipsNonRegularEntries) {
+  const fs::path dir = MakeScenarioDir("list");
+  const auto files = ListScenarioFiles(dir.string());
+  ASSERT_TRUE(files.ok()) << files.status().ToString();
+  const std::vector<std::string> want = {(dir / "a.scn").string(),
+                                         (dir / "b.scn").string()};
+  EXPECT_EQ(*files, want);
+  for (const std::string& file : *files) {
+    EXPECT_TRUE(LoadScenarioFile(file).ok()) << file;
+  }
+}
+
+TEST(ScenarioTest, ListScenarioFilesReportsUnreadableDir) {
+  const auto files = ListScenarioFiles("/nonexistent/scenario/dir");
+  ASSERT_FALSE(files.ok());
+  EXPECT_EQ(files.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(files.status().message().find("/nonexistent/scenario/dir"),
+            std::string::npos);
+}
+
+TEST(ScenarioTest, LoadScenarioFileRejectsDirectory) {
+  // Read as a file, a directory would parse as an empty scenario and
+  // fail with the misleading "scenario declares no transactions".
+  const fs::path dir = MakeScenarioDir("load");
+  const auto scenario = LoadScenarioFile((dir / "sub.scn").string());
+  ASSERT_FALSE(scenario.ok());
+  EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(scenario.status().message().find("not a regular file"),
+            std::string::npos)
+      << scenario.status().ToString();
 }
 
 // --- Source spans and the expect block ----------------------------------
