@@ -20,6 +20,7 @@
 #include "db/lock_table.h"
 #include "history/serialization_graph.h"
 #include "plan/compiled_plan.h"
+#include "sim/arrival_schedule.h"
 #include "workload/generator.h"
 
 namespace pcpda {
@@ -32,6 +33,12 @@ bool SmokeMode() { return std::getenv("PCPDA_BENCH_SMOKE") != nullptr; }
 
 Tick Horizon(Tick full) { return SmokeMode() ? std::min<Tick>(full, 300) : full; }
 
+/// The overload row's horizon. The backlog, and with it the per-tick
+/// cost, grows with the horizon; the smoke horizon is longer than the
+/// others' 300 because the fixpoint only starts re-sweeping once a
+/// backlog has built up.
+Tick OverloadHorizon() { return SmokeMode() ? 3000 : 50000; }
+
 /// The generated bench workload, compiled once; every run shares it.
 CompiledPlan SizedPlan(int txns, int items, double utilization) {
   Rng rng(99);
@@ -42,6 +49,33 @@ CompiledPlan SizedPlan(int txns, int items, double utilization) {
   return CompiledPlan::CompileUnlinted(
       {"bench_engine", GenerateWorkload(params, rng).value(), 0, {}, {}, {},
        {}});
+}
+
+/// The overload row's input: a write-heavy set (8 txns, 24 items,
+/// U=0.85, write fraction 0.6) released by a Poisson schedule at 1.3x its
+/// periodic rate, so the backlog grows for the whole horizon. Generator
+/// seed 18 yields a set whose inheritance chains keep re-sorting the
+/// dispatch order (about 9 fixpoint sweeps per resolution over 20k
+/// ticks); the seed-99 set of the sweep rows, driven the same way, makes
+/// about one and would not exercise the fixpoint.
+struct OverloadInput {
+  CompiledPlan plan;
+  ArrivalSchedule arrivals;
+};
+
+OverloadInput MakeOverloadInput(Tick horizon) {
+  Rng rng(18);
+  WorkloadParams params;
+  params.num_transactions = 8;
+  params.num_items = 24;
+  params.total_utilization = 0.85;
+  params.write_fraction = 0.6;
+  CompiledPlan plan = CompiledPlan::CompileUnlinted(
+      {"bench_engine_overload", GenerateWorkload(params, rng).value(), 0, {},
+       {}, {}, {}});
+  ArrivalSchedule arrivals =
+      ArrivalSchedule::Poisson(plan.set(), horizon, /*load=*/1.3, rng);
+  return {std::move(plan), std::move(arrivals)};
 }
 
 /// The sweep shape: trace and history off, deadlocks resolved by aborts.
@@ -164,52 +198,60 @@ BENCHMARK(BM_SerializabilityCheck);
 // --- BENCH_engine.json: throughput plus a deterministic work counter ----
 //
 // The google-benchmark suite above tracks absolute engine throughput; this
-// harness emits a machine-readable report per (protocol, horizon) point,
-// every run sharing one CompiledPlan. Wall-clock figures are best-of-3
-// trials around construction + Run(); lock_decisions_per_run is the exact
-// RunMetrics::lock_decisions of one run, which depends only on the inputs.
-// The rows land in BENCH_engine.json ($PCPDA_BENCH_JSON overrides the
-// path) with schema
-//   {"smoke": bool, "rows": [{"protocol", "horizon", "ticks_per_sec",
-//     "ns_per_lock_decision", "lock_decisions_per_run"}]}
-// and the bench-json ctest target fails when any row's decision count is
+// harness emits a machine-readable report per (protocol, shape, horizon)
+// point. Two shapes: "sweep" runs the periodic calendar of one shared
+// CompiledPlan; "overload" runs a write-heavy set released by a Poisson
+// schedule at 1.3x its periodic rate, so the backlog and the active set
+// grow for the whole horizon and the dispatch fixpoint does the work.
+// Wall-clock figures are best-of-3 trials around construction + Run();
+// lock_decisions_per_run and dispatch_visits_per_run are the exact
+// RunMetrics::lock_decisions and ::dispatch_visits of one run, which
+// depend only on the inputs. The rows land in BENCH_engine.json
+// ($PCPDA_BENCH_JSON overrides the path) with schema
+//   {"smoke": bool, "rows": [{"protocol", "shape", "horizon",
+//     "ticks_per_sec", "ns_per_lock_decision", "lock_decisions_per_run",
+//     "dispatch_visits_per_run"}]}
+// and the bench-json ctest target fails when either count of any row is
 // above the committed baseline (bench/bench_engine_baseline.json) for its
-// (protocol, horizon), or has no baseline.
+// (protocol, shape, horizon), or has no baseline.
 
 struct EngineRow {
   double sec_per_run = 0.0;
   std::int64_t lock_decisions_per_run = 0;
+  std::int64_t dispatch_visits_per_run = 0;
 };
 
 /// One timed simulation; construction is part of the measurement.
+/// `arrivals` (may be null) overrides the periodic calendar.
 double TimedRun(const CompiledPlan& plan, ProtocolKind kind, Tick horizon,
-                std::int64_t* lock_decisions) {
-  const SimulatorOptions options = SweepOptions(horizon);
+                const ArrivalSchedule* arrivals, EngineRow* counts) {
+  SimulatorOptions options = SweepOptions(horizon);
+  options.arrival_schedule = arrivals;
   const auto start = std::chrono::steady_clock::now();
   SimResult result = RunPlan(plan, kind, options);
   const auto stop = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(result.metrics.TotalCommitted());
-  *lock_decisions = result.metrics.lock_decisions;
+  counts->lock_decisions_per_run = result.metrics.lock_decisions;
+  counts->dispatch_visits_per_run = result.metrics.dispatch_visits;
   return std::chrono::duration<double>(stop - start).count();
 }
 
 EngineRow MeasureRow(const CompiledPlan& plan, ProtocolKind kind,
-                     Tick horizon) {
+                     Tick horizon, const ArrivalSchedule* arrivals) {
   EngineRow row;
   // Calibrate: enough repetitions per trial to cover ~20ms, so short
   // horizons are not timer-noise-bound; slow protocols run once.
-  std::int64_t decisions = 0;
-  const double probe = TimedRun(plan, kind, horizon, &decisions);
-  row.lock_decisions_per_run = decisions;
+  const double probe = TimedRun(plan, kind, horizon, arrivals, &row);
   int reps = 1;
   if (probe < 0.02) {
     reps = std::min<int>(256, static_cast<int>(0.02 / std::max(probe, 1e-7)) + 1);
   }
   double best = probe;
+  EngineRow counts;
   for (int trial = 0; trial < 3; ++trial) {
     double total = 0.0;
     for (int r = 0; r < reps; ++r) {
-      total += TimedRun(plan, kind, horizon, &decisions);
+      total += TimedRun(plan, kind, horizon, arrivals, &counts);
     }
     best = std::min(best, total / reps);
   }
@@ -220,16 +262,19 @@ EngineRow MeasureRow(const CompiledPlan& plan, ProtocolKind kind,
 void WriteEngineBenchJson() {
   struct Point {
     ProtocolKind kind;
+    bool overload;
     Tick horizon;
   };
   // Long-horizon sweep shape for the ceiling protocols; a campaign-shaped
   // short horizon where the per-run setup actually matters; 2PL-HP kept
-  // short because restart thrashing makes it ~2000x slower per tick.
+  // short because restart thrashing makes it ~2000x slower per tick; and
+  // PCP-DA past saturation, where the active set reaches the hundreds.
   const std::vector<Point> points = {
-      {ProtocolKind::kPcpDa, Horizon(150000)},
-      {ProtocolKind::kPcpDa, Horizon(3000)},
-      {ProtocolKind::kRwPcp, Horizon(150000)},
-      {ProtocolKind::kTwoPlHp, Horizon(1500)},
+      {ProtocolKind::kPcpDa, false, Horizon(150000)},
+      {ProtocolKind::kPcpDa, false, Horizon(3000)},
+      {ProtocolKind::kRwPcp, false, Horizon(150000)},
+      {ProtocolKind::kTwoPlHp, false, Horizon(1500)},
+      {ProtocolKind::kPcpDa, true, OverloadHorizon()},
   };
   const CompiledPlan plan = SizedPlan(8, 24, 0.45);
 
@@ -238,7 +283,13 @@ void WriteEngineBenchJson() {
                     SmokeMode() ? "true" : "false");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    const EngineRow row = MeasureRow(plan, p.kind, p.horizon);
+    EngineRow row;
+    if (p.overload) {
+      const OverloadInput input = MakeOverloadInput(p.horizon);
+      row = MeasureRow(input.plan, p.kind, p.horizon, &input.arrivals);
+    } else {
+      row = MeasureRow(plan, p.kind, p.horizon, nullptr);
+    }
     const double ticks_per_sec =
         static_cast<double>(p.horizon) / row.sec_per_run;
     const double ns_per_decision =
@@ -247,12 +298,14 @@ void WriteEngineBenchJson() {
                   static_cast<double>(row.lock_decisions_per_run)
             : 0.0;
     json += StrFormat(
-        "    {\"protocol\": \"%s\", \"horizon\": %lld, "
+        "    {\"protocol\": \"%s\", \"shape\": \"%s\", \"horizon\": %lld, "
         "\"ticks_per_sec\": %.1f, \"ns_per_lock_decision\": %.2f, "
-        "\"lock_decisions_per_run\": %lld}%s\n",
-        ToString(p.kind), static_cast<long long>(p.horizon),
-        ticks_per_sec, ns_per_decision,
+        "\"lock_decisions_per_run\": %lld, "
+        "\"dispatch_visits_per_run\": %lld}%s\n",
+        ToString(p.kind), p.overload ? "overload" : "sweep",
+        static_cast<long long>(p.horizon), ticks_per_sec, ns_per_decision,
         static_cast<long long>(row.lock_decisions_per_run),
+        static_cast<long long>(row.dispatch_visits_per_run),
         i + 1 < points.size() ? "," : "");
   }
   json += "  ]\n}\n";

@@ -103,6 +103,13 @@ struct RunMetrics {
   /// ns-per-lock-decision figure in bench_engine_perf; deliberately absent
   /// from DebugString so golden traces are unaffected.
   std::int64_t lock_decisions = 0;
+  /// Dispatch work counters, absent from DebugString like
+  /// lock_decisions: ResolveDispatch calls, fixpoint sweeps over the
+  /// dispatch order, and visits (one job examined by one sweep). They
+  /// depend only on the inputs, so benches gate on them exactly.
+  std::int64_t dispatch_resolutions = 0;
+  std::int64_t fixpoint_sweeps = 0;
+  std::int64_t dispatch_visits = 0;
   FaultMetrics faults;
 
   std::int64_t TotalReleased() const;

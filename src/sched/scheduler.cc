@@ -43,18 +43,39 @@ std::vector<Job*> DispatchOrder(
   return order;
 }
 
-void SortDispatchOrder(std::vector<Job*>& order) {
-  std::sort(order.begin(), order.end(), RunningBefore);
-}
-
-void ResortDispatchOrder(std::vector<Job*>& order) {
+std::size_t ResortDispatchOrder(std::vector<Job*>& order) {
+  std::size_t first_changed = order.size();
   for (std::size_t i = 1; i < order.size(); ++i) {
     Job* const job = order[i];
     std::size_t at = i;
     for (; at > 0 && RunningBefore(job, order[at - 1]); --at) {
       order[at] = order[at - 1];
     }
-    order[at] = job;
+    if (at != i) {
+      order[at] = job;
+      first_changed = std::min(first_changed, at);
+    }
+  }
+  // Positions before the first change kept their jobs, and with them
+  // their indices.
+  for (std::size_t i = first_changed; i < order.size(); ++i) {
+    order[i]->set_dispatch_index(i);
+  }
+  return first_changed;
+}
+
+void AppendToDispatchOrder(std::vector<Job*>& order, Job* job) {
+  job->set_dispatch_index(order.size());
+  order.push_back(job);
+}
+
+void RemoveFromDispatchOrder(std::vector<Job*>& order, const Job& job) {
+  const std::size_t at = job.dispatch_index();
+  PCPDA_CHECK_MSG(at < order.size() && order[at] == &job,
+                  "job is not at its dispatch index");
+  order.erase(order.begin() + static_cast<std::ptrdiff_t>(at));
+  for (std::size_t i = at; i < order.size(); ++i) {
+    order[i]->set_dispatch_index(i);
   }
 }
 

@@ -18,17 +18,24 @@ std::vector<Job*> DispatchOrder(
     const std::vector<Job*>& active,
     const std::map<JobId, Priority>& running_priorities);
 
-/// In-place variant for the simulator's hot loop: sorts `order` by the
-/// same strict total order, reading each job's running priority from the
-/// job itself (the caller has just relaxed inheritance on the jobs). No
-/// per-call allocation.
-void SortDispatchOrder(std::vector<Job*>& order);
+/// The simulator's in-place variant: re-sorts an order that was sorted
+/// before a few running priorities moved or a few jobs were appended or
+/// removed, by insertion sort — O(n + inversions), no allocation. It
+/// reads each job's running priority from the job itself (the caller has
+/// just relaxed inheritance on the jobs). The order is strict and total,
+/// so the result is the one DispatchOrder returns. Requires every job's
+/// dispatch_index() to match its position on entry and keeps it so.
+/// Returns the first position whose job changed (order.size() when none
+/// did).
+std::size_t ResortDispatchOrder(std::vector<Job*>& order);
 
-/// Re-sorts an order that SortDispatchOrder produced before a few running
-/// priorities moved, by insertion sort: O(n + inversions) instead of
-/// O(n log n). The order is strict and total, so the result is the one
-/// SortDispatchOrder would return.
-void ResortDispatchOrder(std::vector<Job*>& order);
+/// Appends a newly released job to a kept dispatch order; the next
+/// ResortDispatchOrder moves it into place.
+void AppendToDispatchOrder(std::vector<Job*>& order, Job* job);
+
+/// Removes a retired job from a kept dispatch order, keeping every later
+/// job's dispatch_index() equal to its new position.
+void RemoveFromDispatchOrder(std::vector<Job*>& order, const Job& job);
 
 }  // namespace pcpda
 

@@ -1,6 +1,7 @@
 #include "sched/simulator.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "common/check.h"
@@ -108,7 +109,14 @@ void Simulator::ReleaseArrivals() {
     const JobId id = static_cast<JobId>(jobs_.size());
     jobs_.push_back(std::make_unique<Job>(id, set_, arrival.spec,
                                           arrival.instance, tick_, deadline));
-    active_jobs_.push_back(jobs_.back().get());
+    Job* job = jobs_.back().get();
+    active_jobs_.push_back(job);
+    AppendToDispatchOrder(dispatch_order_, job);
+    if (deadline != kNoTick) {
+      deadline_heap_.emplace_back(deadline, id);
+      std::push_heap(deadline_heap_.begin(), deadline_heap_.end(),
+                     std::greater<>());
+    }
     ++metrics_for(arrival.spec).released;
     if (options_.record_trace) {
       TraceEvent event;
@@ -123,18 +131,24 @@ void Simulator::ReleaseArrivals() {
 }
 
 void Simulator::CheckDeadlines() {
-  // kDrop retires jobs mid-loop, so only that policy walks a snapshot of
-  // the scan set.
-  const bool drops = options_.miss_policy == DeadlineMissPolicy::kDrop;
-  const std::vector<Job*> snapshot =
-      drops ? active_jobs_ : std::vector<Job*>();
-  for (Job* active : drops ? snapshot : active_jobs_) {
-    Job& job = *active;
-    if (job.deadline_miss_recorded()) continue;
-    if (job.absolute_deadline() == kNoTick ||
-        job.absolute_deadline() > tick_) {
-      continue;
+  // Pop every deadline due by now; entries of jobs that retired first
+  // are stale and skipped. The due jobs are handled in ascending id, the
+  // order of the active set, so trace events, kDrop and the kHalt
+  // cut-off land exactly as a scan of the active set would put them.
+  due_scratch_.clear();
+  while (!deadline_heap_.empty() && deadline_heap_.front().first <= tick_) {
+    std::pop_heap(deadline_heap_.begin(), deadline_heap_.end(),
+                  std::greater<>());
+    const JobId id = deadline_heap_.back().second;
+    deadline_heap_.pop_back();
+    const Job& due = *jobs_[static_cast<std::size_t>(id)];
+    if (due.active() && !due.deadline_miss_recorded()) {
+      due_scratch_.push_back(id);
     }
+  }
+  std::sort(due_scratch_.begin(), due_scratch_.end());
+  for (JobId id : due_scratch_) {
+    Job& job = *jobs_[static_cast<std::size_t>(id)];
     job.set_deadline_miss_recorded();
     ++metrics_for(job.spec_id()).deadline_misses;
     if (options_.record_trace) {
@@ -216,44 +230,77 @@ void Simulator::ApplyFaults() {
   }
 }
 
-void Simulator::RelaxRunningPriorities() {
+void Simulator::RelaxRunningPriorities(std::vector<Job*>* moved) {
+  if (moved != nullptr) {
+    priority_scratch_.clear();
+    for (const Job* job : active_jobs_) {
+      priority_scratch_.push_back(job->running_priority());
+    }
+  }
   for (Job* job : active_jobs_) {
     job->set_running_priority(job->base_priority());
   }
-  if (!protocol_->uses_priority_inheritance()) return;
-  // Each pass propagates donations one edge further; priorities only
-  // rise, so |active| + 1 passes suffice. Every waiter is active (stale
-  // waiters are cleared at the start of each round), but an edge may
-  // still name a holder that has since committed or been dropped: it
-  // inherits nothing.
-  bool changed = !wait_graph_.waiter_ids().empty();
-  std::size_t guard = active_jobs_.size() + 1;
-  while (changed && guard-- > 0) {
-    changed = false;
-    for (JobId waiter : wait_graph_.waiter_ids()) {
-      const Job& donor = *jobs_[static_cast<std::size_t>(waiter)];
-      for (JobId holder_id : wait_graph_.HoldersBlocking(waiter)) {
-        Job& holder = *jobs_[static_cast<std::size_t>(holder_id)];
-        if (holder.active() &&
-            holder.running_priority() < donor.running_priority()) {
-          holder.set_running_priority(donor.running_priority());
-          changed = true;
+  if (protocol_->uses_priority_inheritance()) {
+    // Each pass propagates donations one edge further; priorities only
+    // rise, so |active| + 1 passes suffice. Every waiter is active (stale
+    // waiters are cleared at the start of each round), but an edge may
+    // still name a holder that has since committed or been dropped: it
+    // inherits nothing.
+    bool changed = !wait_graph_.waiter_ids().empty();
+    std::size_t guard = active_jobs_.size() + 1;
+    while (changed && guard-- > 0) {
+      changed = false;
+      for (JobId waiter : wait_graph_.waiter_ids()) {
+        const Job& donor = *jobs_[static_cast<std::size_t>(waiter)];
+        for (JobId holder_id : wait_graph_.HoldersBlocking(waiter)) {
+          Job& holder = *jobs_[static_cast<std::size_t>(holder_id)];
+          if (holder.active() &&
+              holder.running_priority() < donor.running_priority()) {
+            holder.set_running_priority(donor.running_priority());
+            changed = true;
+          }
         }
+      }
+    }
+  }
+  if (moved == nullptr) return;
+  for (std::size_t i = 0; i < active_jobs_.size(); ++i) {
+    if (active_jobs_[i]->running_priority() != priority_scratch_[i]) {
+      moved->push_back(active_jobs_[i]);
+    }
+  }
+}
+
+void Simulator::RaiseFrom(Job& waiter, std::vector<Job*>& moved) {
+  // Priorities only rise along added edges, so propagating from the
+  // waiter reaches the same least fixpoint a full relax would.
+  raise_worklist_.assign(1, &waiter);
+  while (!raise_worklist_.empty()) {
+    const Job& donor = *raise_worklist_.back();
+    raise_worklist_.pop_back();
+    for (JobId holder_id : wait_graph_.HoldersBlocking(donor.id())) {
+      Job& holder = *jobs_[static_cast<std::size_t>(holder_id)];
+      if (holder.active() &&
+          holder.running_priority() < donor.running_priority()) {
+        holder.set_running_priority(donor.running_priority());
+        moved.push_back(&holder);
+        raise_worklist_.push_back(&holder);
       }
     }
   }
 }
 
 Job* Simulator::ResolveDispatch() {
+  ++metrics_.dispatch_resolutions;
   // Abort applications (HP victims, optimistic self-aborts) restart the
   // resolution; they always release locks or clear protocol state, so the
-  // bound below only trips on a protocol that aborts without progress.
+  // bound below only trips on a protocol that aborts without progress. A
+  // victim restarts at step 0 holding no locks and cannot be a victim
+  // again, so the bound scales with the jobs in flight, not with every
+  // job ever released.
   std::size_t abort_rounds = 0;
-  const std::size_t max_abort_rounds = 16 + 4 * jobs_.size();
-  // Aborts restart jobs in place, so the active set is fixed for the
-  // whole resolution: after the first full sort each sweep only repairs
-  // the previous order.
-  bool sorted = false;
+  const std::size_t max_abort_rounds = 16 + 4 * active_jobs_.size();
+  std::vector<Job*>& order = dispatch_order_;
   for (;;) {
     PCPDA_CHECK_MSG(abort_rounds++ <= max_abort_rounds,
                     "dispatch resolution is not making progress");
@@ -288,22 +335,31 @@ Job* Simulator::ResolveDispatch() {
     // earlier in this round at its current running priority is skipped
     // (see dispatch_round_), but still ends the sweep if an earlier job
     // changed the wait graph, exactly as its repeated decision would.
+    //
+    // Every position before `resume` holds a settled job: one that needed
+    // no lock (its waits are cleared), or one decided this round at its
+    // current running priority. A walk from the top would pass over each
+    // of them without effect, so each sweep starts at `resume` instead
+    // (DESIGN.md §13).
+    RelaxRunningPriorities(nullptr);
+    ResortDispatchOrder(order);
+    std::size_t resume = 0;
     const std::size_t max_sweeps = 4 * active_jobs_.size() + 8;
     for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      RelaxRunningPriorities();
-      if (sorted) {
-        ResortDispatchOrder(dispatch_scratch_);
-      } else {
-        dispatch_scratch_ = active_jobs_;
-        SortDispatchOrder(dispatch_scratch_);
-        sorted = true;
-      }
+      ++metrics_.fixpoint_sweeps;
       bool changed = false;
-      for (Job* job : dispatch_scratch_) {
+      // What the sweep did to the wait graph: removed some edge, or only
+      // added edges from `grew`.
+      bool removed = false;
+      Job* grew = nullptr;
+      std::size_t at = resume;
+      for (; at < order.size(); ++at) {
+        Job* job = order[at];
+        ++metrics_.dispatch_visits;
         if (!NeedsLock(*job)) {
           if (wait_graph_.IsWaiting(job->id())) {
             wait_graph_.ClearWaits(job->id());
-            changed = true;
+            changed = removed = true;
           }
           blocked_now_.erase(job->id());
           continue;
@@ -327,8 +383,14 @@ Job* Simulator::ResolveDispatch() {
           // HoldersBlocking yields the stored sorted-unique holder set,
           // so this compares the same sets the std::set version did.
           if (wait_graph_.HoldersBlocking(job->id()) != holders_scratch_) {
-            wait_graph_.SetWaits(job->id(), decision.jobs);
+            const WaitGraph::EdgeChange edges =
+                wait_graph_.SetWaits(job->id(), decision.jobs);
             changed = true;
+            removed = removed || edges.removed;
+            if (edges.added) {
+              grew = job;
+              wait_graph_grown_ = true;
+            }
           }
           PendingBlock& pb = blocked_now_[job->id()];
           pb.item = request.item;
@@ -339,21 +401,44 @@ Job* Simulator::ResolveDispatch() {
         } else {
           if (wait_graph_.IsWaiting(job->id())) {
             wait_graph_.ClearWaits(job->id());
-            changed = true;
+            changed = removed = true;
           }
           blocked_now_.erase(job->id());
-          granted_decision_[job->id()] = std::move(decision);
+          // A plain grant is only read back for its trace note.
+          if (decision.kind != LockDecision::Kind::kGrant ||
+              options_.record_trace) {
+            granted_decision_[job->id()] = std::move(decision);
+          } else {
+            granted_decision_.erase(job->id());
+          }
         }
-        if (changed) break;  // priorities moved: restart the sweep
+        if (changed) break;  // priorities may move: sweep again
       }
       if (!changed) break;
+
+      // Re-establish inheritance and the order for the next sweep. Every
+      // job up to the one the sweep stopped at is now settled; of those,
+      // only jobs whose running priority moves may stop being settled.
+      resume = at < order.size() ? at + 1 : order.size();
+      if (!protocol_->uses_priority_inheritance()) continue;
+      moved_scratch_.clear();
+      if (removed) {
+        RelaxRunningPriorities(&moved_scratch_);
+      } else {
+        RaiseFrom(*grew, moved_scratch_);
+      }
+      if (moved_scratch_.empty()) continue;
+      for (const Job* job : moved_scratch_) {
+        resume = std::min(resume, job->dispatch_index());
+      }
+      resume = std::min(resume, ResortDispatchOrder(order));
     }
 
     // Dispatch the highest running-priority job that is not blocked.
-    // dispatch_scratch_ still holds the final sweep's order — the same
-    // order the running map from that sweep would produce.
+    // The kept order is the final sweep's order — the same order the
+    // running map from that sweep would produce.
     Job* chosen = nullptr;
-    for (Job* job : dispatch_scratch_) {
+    for (Job* job : order) {
       if (!blocked_now_.contains(job->id())) {
         chosen = job;
         break;
@@ -388,8 +473,14 @@ Job* Simulator::ResolveDispatch() {
 }
 
 bool Simulator::HandleOneDeadlock() {
+  // Removing edges cannot close a cycle, so a graph SetWaits has not
+  // grown since the last acyclic check is still acyclic.
+  if (!wait_graph_grown_) return false;
   auto cycle = wait_graph_.FindCycle();
-  if (!cycle.has_value()) return false;
+  if (!cycle.has_value()) {
+    wait_graph_grown_ = false;
+    return false;
+  }
   ++metrics_.deadlocks;
   if (options_.record_trace) {
     TraceEvent event;
@@ -441,9 +532,6 @@ void Simulator::AdmitStep(Job& job) {
   dispatch_dirty_ = true;
   const bool needed_grant = NeedsLock(job);
   if (needed_grant) {
-    std::string note;
-    const LockDecision* granted = granted_decision_.find(job.id());
-    if (granted != nullptr) note = granted->note;
     if (step.kind == StepKind::kRead) {
       lock_table_.AcquireRead(job.id(), step.item);
     } else {
@@ -458,7 +546,8 @@ void Simulator::AdmitStep(Job& job) {
       event.instance = job.instance();
       event.item = step.item;
       event.mode = NeededMode(job);
-      event.note = std::move(note);
+      const LockDecision* granted = granted_decision_.find(job.id());
+      if (granted != nullptr) event.note = granted->note;
       trace_.AddEvent(event);
     }
   }
@@ -621,6 +710,7 @@ void Simulator::RetireJob(Job& job) {
   PCPDA_CHECK_MSG(it != active_jobs_.end(),
                   "retiring a job that was not in the active set");
   active_jobs_.erase(it);
+  RemoveFromDispatchOrder(dispatch_order_, job);
   retired_this_tick_.push_back(&job);
 }
 

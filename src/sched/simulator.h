@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -178,11 +179,17 @@ class Simulator : public SimView {
   /// Resets every active job to its base priority, then relaxes priority
   /// inheritance along the wait graph in place on Job::running_priority —
   /// the same fixpoint, in the same pass order, as the auditor's
-  /// ComputeRunningPriorities oracle over the active jobs.
-  void RelaxRunningPriorities();
+  /// ComputeRunningPriorities oracle over the active jobs. With `moved`,
+  /// appends the jobs whose running priority differs from before.
+  void RelaxRunningPriorities(std::vector<Job*>* moved);
+  /// After edges were only added from `waiter`, raises running priorities
+  /// along the wait graph from it with a worklist, appending each raised
+  /// job to `moved` — the least fixpoint a full relax would reach.
+  void RaiseFrom(Job& waiter, std::vector<Job*>& moved);
   /// Handles at most one wait-for cycle per policy. Returns true when a
   /// cycle was found (the caller must re-resolve dispatch unless the run
-  /// halted).
+  /// halted). Searches only when SetWaits has added an edge since the
+  /// last search that found none.
   bool HandleOneDeadlock();
   /// Grants the pending lock for `job`'s current step, recording effects.
   void AdmitStep(Job& job);
@@ -194,9 +201,9 @@ class Simulator : public SimView {
   /// writes, releases locks, restarts from the first step.
   void AbortAndRestart(Job& victim, const char* why);
   void DropJob(Job& job);
-  /// Moves a just-committed/dropped job out of the active scan set; it
-  /// stays in the jobs_ archive (and in retired_this_tick_ for this
-  /// tick's audit).
+  /// Moves a just-committed/dropped job out of the active scan set and
+  /// the dispatch order; it stays in the jobs_ archive (and in
+  /// retired_this_tick_ for this tick's audit).
   void RetireJob(Job& job);
   void RecordTick(const Job* runner, StepKind runner_kind);
   SpecMetrics& metrics_for(SpecId spec);
@@ -252,14 +259,32 @@ class Simulator : public SimView {
   /// so both maps keep their slot capacity.
   JobSlotMap<std::string> blocked_scratch_;
   JobSlotMap<Tick> effective_blocking_by_job_;
-  /// The decision produced for the runner during dispatch resolution.
+  /// Non-blocking decisions of the current resolution round that are
+  /// read back: abort decisions, and with record_trace every grant (for
+  /// its note).
   JobSlotMap<LockDecision> granted_decision_;
-  /// Per-sweep scratch reused across dispatch resolutions: the dispatch
-  /// order, the sorted holder set of a kBlock decision, and the stale
-  /// waiters to clear.
-  std::vector<Job*> dispatch_scratch_;
+  /// The active jobs in dispatch order (scheduler.h), kept across
+  /// resolutions: arrivals are appended, retirements erased, and each
+  /// resolution repairs it by insertion sort. Job::dispatch_index() is
+  /// every job's position in it.
+  std::vector<Job*> dispatch_order_;
+  /// Per-sweep scratch reused across dispatch resolutions: the sorted
+  /// holder set of a kBlock decision, the stale waiters to clear, the
+  /// jobs whose running priority moved, the inheritance worklist, and
+  /// the running priorities before a full relax.
   std::vector<JobId> holders_scratch_;
   std::vector<JobId> stale_waiters_scratch_;
+  std::vector<Job*> moved_scratch_;
+  std::vector<Job*> raise_worklist_;
+  std::vector<Priority> priority_scratch_;
+  /// True when SetWaits has added an edge since the last FindCycle that
+  /// found no cycle.
+  bool wait_graph_grown_ = false;
+  /// Min-heap (std::greater) of (absolute deadline, job id) for released
+  /// jobs with a deadline. Entries of jobs that retire first stay until
+  /// due and are skipped then.
+  std::vector<std::pair<Tick, JobId>> deadline_heap_;
+  std::vector<JobId> due_scratch_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<InvariantAuditor> auditor_;
   bool ran_ = false;

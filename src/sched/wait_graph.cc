@@ -10,15 +10,23 @@ const std::vector<JobId> WaitGraph::kNoHolders;
 
 void WaitGraph::Clear() { edges_.clear(); }
 
-void WaitGraph::SetWaits(JobId waiter, std::vector<JobId> holders) {
-  if (holders.empty()) {
-    edges_.erase(waiter);
-    return;
-  }
+WaitGraph::EdgeChange WaitGraph::SetWaits(JobId waiter,
+                                          std::vector<JobId> holders) {
   std::sort(holders.begin(), holders.end());
   holders.erase(std::unique(holders.begin(), holders.end()),
                 holders.end());
-  edges_[waiter] = std::move(holders);
+  const std::vector<JobId>& before = HoldersBlocking(waiter);
+  EdgeChange change;
+  change.added = !std::includes(before.begin(), before.end(),
+                                holders.begin(), holders.end());
+  change.removed = !std::includes(holders.begin(), holders.end(),
+                                  before.begin(), before.end());
+  if (holders.empty()) {
+    edges_.erase(waiter);
+  } else {
+    edges_[waiter] = std::move(holders);
+  }
+  return change;
 }
 
 void WaitGraph::ClearWaits(JobId waiter) { edges_.erase(waiter); }

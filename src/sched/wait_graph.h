@@ -25,8 +25,17 @@ class WaitGraph {
  public:
   void Clear();
 
+  /// How SetWaits changed the waiter's outgoing edges.
+  struct EdgeChange {
+    /// Some holder is new: only an added edge can close a cycle or raise
+    /// a running priority.
+    bool added = false;
+    /// Some former holder is gone.
+    bool removed = false;
+  };
+
   /// Replaces the waiter's outgoing edges. Duplicate holders collapse.
-  void SetWaits(JobId waiter, std::vector<JobId> holders);
+  EdgeChange SetWaits(JobId waiter, std::vector<JobId> holders);
   void ClearWaits(JobId waiter);
 
   bool IsWaiting(JobId waiter) const;

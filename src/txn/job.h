@@ -63,6 +63,11 @@ class Job {
     decided_priority_ = running_priority_;
   }
 
+  /// Position in the simulator's kept dispatch order, maintained by the
+  /// dispatch-order helpers in sched/scheduler.h.
+  std::size_t dispatch_index() const { return dispatch_index_; }
+  void set_dispatch_index(std::size_t index) { dispatch_index_ = index; }
+
   // --- Execution progress -------------------------------------------------
 
   /// Index of the step the job executes next (== body size when done).
@@ -138,6 +143,7 @@ class Job {
   /// round 0 never occurs, so a fresh job is undecided.
   std::uint64_t decided_round_ = 0;
   Priority decided_priority_;
+  std::size_t dispatch_index_ = 0;
 
   std::size_t step_index_ = 0;
   Tick remaining_in_step_;

@@ -8,6 +8,7 @@
 #include "common/parse.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -106,11 +107,23 @@ TEST_F(JobsFromEnvTest, GarbageWarnsAndFallsBack) {
 
 namespace fs = std::filesystem;
 
+/// A path under the test temp directory that belongs to this process
+/// and the running test alone. ctest runs every case as its own process,
+/// concurrently under -j, so a fixed name would let two cases truncate or
+/// delete each other's files.
+fs::path ScratchPath(const std::string& name) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return fs::path(::testing::TempDir()) /
+         ("cli_test_" + std::to_string(getpid()) + "_" +
+          test->test_suite_name() + "_" + test->name() + "_" + name);
+}
+
 /// Runs an example binary and returns its exit code. When `output` is
 /// set, it receives the binary's stdout and stderr.
 int RunCli(const std::string& command, std::string* output = nullptr) {
   const std::string log = output != nullptr
-                              ? ::testing::TempDir() + "/cli_test_output.txt"
+                              ? ScratchPath("output.txt").string()
                               : "/dev/null";
   const std::string full = std::string(PCPDA_BINARY_DIR "/examples/") +
                            command + " >" + log + " 2>&1";
@@ -120,6 +133,7 @@ int RunCli(const std::string& command, std::string* output = nullptr) {
     std::ostringstream text;
     text << in.rdbuf();
     *output = text.str();
+    fs::remove(log);
   }
   return WEXITSTATUS(raw);
 }
@@ -159,8 +173,7 @@ TEST(CliRegressionTest, RunScenarioRefusesHyperperiodTooLargeToDouble) {
   // The three periods' LCM saturates Hyperperiod(); doubling it would
   // overflow into a negative horizon and blame "no periodic
   // transactions".
-  const fs::path scn =
-      fs::path(::testing::TempDir()) / "cli_huge_hyperperiod.scn";
+  const fs::path scn = ScratchPath("huge_hyperperiod.scn");
   std::ofstream(scn) << "scenario huge_hyperperiod\n"
                         "txn A period=1000000007\n  compute 1\nend\n"
                         "txn B period=1000000009\n  compute 1\nend\n"
@@ -171,12 +184,13 @@ TEST(CliRegressionTest, RunScenarioRefusesHyperperiodTooLargeToDouble) {
       << output;
   EXPECT_EQ(output.find("no periodic transactions"), std::string::npos)
       << output;
+  fs::remove(scn);
 }
 
 TEST(CliRegressionTest, ScenarioDirectoryCommandsSkipSubdirectories) {
   // A subdirectory named like a scenario is not a scenario: every
   // directory walk skips it the same way.
-  const fs::path dir = fs::path(::testing::TempDir()) / "cli_scn_dir";
+  const fs::path dir = ScratchPath("scn_dir");
   fs::remove_all(dir);
   fs::create_directories(dir / "sub.scn");
   fs::copy_file(PCPDA_SOURCE_DIR "/scenarios/example4.scn",
@@ -191,6 +205,7 @@ TEST(CliRegressionTest, ScenarioDirectoryCommandsSkipSubdirectories) {
   EXPECT_EQ(RunCli("pcpda_fuzz --iters=0 --replay=" + dir.string(), &output),
             0)
       << output;
+  fs::remove_all(dir);
 }
 
 #endif  // PCPDA_BINARY_DIR

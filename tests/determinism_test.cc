@@ -228,8 +228,11 @@ TEST(DeterminismTest, GoldenContendedAllProtocols) {
 }
 
 /// Test-only spy: forwards every Protocol virtual to the wrapped protocol
-/// and records what reached Decide. Protocol::Attach is not virtual, so
-/// the wrapped protocol is bound lazily to the spy's view.
+/// and records what reached Decide: call counts, and an FNV-1a hash
+/// folded over every call in order (tick, job, item, mode, the
+/// requester's running priority, and the returned kind, reason, jobs and
+/// note). Protocol::Attach is not virtual, so the wrapped protocol is
+/// bound lazily to the spy's view.
 class DecideSpy final : public Protocol {
  public:
   explicit DecideSpy(std::unique_ptr<Protocol> inner)
@@ -255,7 +258,19 @@ class DecideSpy final : public Protocol {
     if (!seen_.insert(key).second) ++repeats_;
     max_active_ = std::max(max_active_,
                            view().LiveJobs(request.job->id()).size() + 1);
-    return inner_->Decide(request);
+    LockDecision decision = inner_->Decide(request);
+    Fold(view().now());
+    Fold(request.job->id());
+    Fold(request.item);
+    Fold(static_cast<int>(request.mode));
+    Fold(request.job->running_priority().level());
+    Fold(static_cast<int>(decision.kind));
+    Fold(static_cast<int>(decision.reason));
+    Fold(static_cast<std::int64_t>(decision.jobs.size()));
+    for (JobId id : decision.jobs) Fold(id);
+    Fold(static_cast<std::int64_t>(decision.note.size()));
+    for (char c : decision.note) FoldByte(static_cast<unsigned char>(c));
+    return decision;
   }
   std::vector<std::pair<ItemId, LockMode>> EarlyReleases(
       const Job& job) const override {
@@ -283,8 +298,23 @@ class DecideSpy final : public Protocol {
   /// Decide calls whose (tick, job, running priority) was already asked.
   std::int64_t repeats() const { return repeats_; }
   std::size_t max_active() const { return max_active_; }
+  /// FNV-1a over the whole Decide sequence; any change to which requests
+  /// are decided, in what order, at what priority, or to their answers
+  /// changes it.
+  std::uint64_t sequence_hash() const { return hash_; }
 
  private:
+  void FoldByte(unsigned char byte) const {
+    hash_ = (hash_ ^ byte) * 0x100000001b3ull;
+  }
+  /// Folds the value as 8 little-endian bytes, independent of host width.
+  void Fold(std::int64_t value) const {
+    const auto bits = static_cast<std::uint64_t>(value);
+    for (int shift = 0; shift < 64; shift += 8) {
+      FoldByte(static_cast<unsigned char>(bits >> shift));
+    }
+  }
+
   void Bind() const {
     if (bound_ != &view()) {
       inner_->Attach(&view());
@@ -298,6 +328,7 @@ class DecideSpy final : public Protocol {
   mutable std::int64_t repeats_ = 0;
   mutable std::size_t max_active_ = 0;
   mutable std::set<std::tuple<Tick, JobId, Priority>> seen_;
+  mutable std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
 SimResult RunContended(const ContendedInput& input, Protocol* protocol) {
@@ -379,6 +410,87 @@ TEST(DispatchMemoTest, LockDecisionCountsArePinned) {
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     EXPECT_EQ(result.metrics.lock_decisions, expected.at(kind))
         << ToString(kind);
+  }
+}
+
+// Exact dispatch work on the contended workload: resolutions, fixpoint
+// sweeps and visits (jobs examined by a sweep). Before sweeps resumed at
+// the first unsettled job, each restarted from the top of the dispatch
+// order: the same resolutions and sweeps made 12,243 (PCP-DA), 45,841
+// (RW-PCP) and 14,298 (2PL-HP) visits.
+TEST(DispatchMemoTest, DispatchWorkCountsArePinned) {
+  const ContendedInput input = MakeContended();
+  struct Work {
+    std::int64_t resolutions, sweeps, visits;
+  };
+  const std::map<ProtocolKind, Work> expected = {
+      {ProtocolKind::kPcpDa, {127, 603, 4032}},
+      {ProtocolKind::kRwPcp, {127, 2024, 4026}},
+      {ProtocolKind::kTwoPlHp, {127, 650, 4258}},
+  };
+  for (const auto& [kind, work] : expected) {
+    auto protocol = MakeProtocol(kind);
+    const SimResult result = RunContended(input, protocol.get());
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.metrics.dispatch_resolutions, work.resolutions)
+        << ToString(kind);
+    EXPECT_EQ(result.metrics.fixpoint_sweeps, work.sweeps) << ToString(kind);
+    EXPECT_EQ(result.metrics.dispatch_visits, work.visits) << ToString(kind);
+  }
+}
+
+/// The Decide sequence hash of one run of `scenario` under `kind`, with
+/// RenderRun's options.
+std::uint64_t DecideSequenceHash(const Scenario& scenario, ProtocolKind kind,
+                                 const ArrivalSchedule* arrivals = nullptr) {
+  DecideSpy spy(MakeProtocol(kind));
+  SimulatorOptions options;
+  options.horizon = scenario.horizon;
+  options.faults = scenario.faults;
+  options.audit = true;
+  options.deadlock_policy = DeadlockPolicy::kAbortLowestPriority;
+  options.arrival_schedule = arrivals;
+  Simulator sim(&scenario.set, &spy, options);
+  const SimResult result = sim.Run();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  return spy.sequence_hash();
+}
+
+// The exact Decide sequence — not only its length — is pinned per
+// protocol on both golden inputs: which requests are decided, in which
+// order, at which running priority, and what each answer was. Recorded
+// on the engine before dispatch resolution resumed sweeps mid-order; an
+// engine change that keeps the goldens but reorders, adds or drops a
+// decision fails here.
+TEST(DispatchMemoTest, DecideSequenceHashesArePinned) {
+  const ContendedInput contended = MakeContended();
+  const Scenario faulty = LoadScenario();
+  const std::map<ProtocolKind, std::pair<std::uint64_t, std::uint64_t>>
+      expected = {
+          // {contended Poisson, example3_faulty.scn}
+          {ProtocolKind::kPcpDa,
+           {0xd351b88628f80527ull, 0xd40b6350495b33fbull}},
+          {ProtocolKind::kRwPcp,
+           {0xf6606ad3f6d44719ull, 0x993a67f8460769eeull}},
+          {ProtocolKind::kCcp,
+           {0xf6606ad3f6d44719ull, 0x264cb46a9ac1f94dull}},
+          {ProtocolKind::kOpcp,
+           {0xcd297d3e06892176ull, 0xb8ed8e15eee8320eull}},
+          {ProtocolKind::kTwoPlPi,
+           {0x7adb4bdbbe3428a8ull, 0x993a67f8460769eeull}},
+          {ProtocolKind::kTwoPlHp,
+           {0x1912b9c9cba22db6ull, 0x5637cb7a0ace22ceull}},
+          {ProtocolKind::kOccBc,
+           {0x5a0958563cb8e7d8ull, 0x73d7ae02b3483c11ull}},
+          {ProtocolKind::kOccDa,
+           {0x5a0958563cb8e7d8ull, 0x73d7ae02b3483c11ull}},
+      };
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    const std::uint64_t on_contended =
+        DecideSequenceHash(contended.scenario, kind, &contended.arrivals);
+    const std::uint64_t on_faulty = DecideSequenceHash(faulty, kind);
+    EXPECT_EQ(on_contended, expected.at(kind).first) << ToString(kind);
+    EXPECT_EQ(on_faulty, expected.at(kind).second) << ToString(kind);
   }
 }
 

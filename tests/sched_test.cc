@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+
 #include "sched/inheritance.h"
 #include "sched/metrics.h"
 #include "sched/scheduler.h"
@@ -28,6 +32,26 @@ TEST(WaitGraphTest, SetAndClearWaits) {
   EXPECT_FALSE(graph.IsWaiting(1));
   graph.SetWaits(1, {2});
   graph.SetWaits(1, {});  // empty holders == no wait
+  EXPECT_FALSE(graph.IsWaiting(1));
+}
+
+TEST(WaitGraphTest, SetWaitsReportsAddedAndRemovedEdges) {
+  WaitGraph graph;
+  WaitGraph::EdgeChange change = graph.SetWaits(1, {3, 2, 3});
+  EXPECT_TRUE(change.added);
+  EXPECT_FALSE(change.removed);
+  change = graph.SetWaits(1, {2, 3, 4});  // superset: only an addition
+  EXPECT_TRUE(change.added);
+  EXPECT_FALSE(change.removed);
+  change = graph.SetWaits(1, {2});  // subset: only removals
+  EXPECT_FALSE(change.added);
+  EXPECT_TRUE(change.removed);
+  change = graph.SetWaits(1, {5});  // both
+  EXPECT_TRUE(change.added);
+  EXPECT_TRUE(change.removed);
+  change = graph.SetWaits(1, {});
+  EXPECT_FALSE(change.added);
+  EXPECT_TRUE(change.removed);
   EXPECT_FALSE(graph.IsWaiting(1));
 }
 
@@ -185,6 +209,14 @@ TEST(InheritanceTest, StaleEdgesToDeadJobsIgnored) {
 
 // --- DispatchOrder -----------------------------------------------------
 
+/// The reference order: DispatchOrder over the jobs' current running
+/// priorities.
+std::vector<Job*> FreshOrder(const std::vector<Job*>& jobs) {
+  std::map<JobId, Priority> running;
+  for (const Job* job : jobs) running[job->id()] = job->running_priority();
+  return DispatchOrder(jobs, running);
+}
+
 class DispatchOrderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -236,17 +268,85 @@ TEST_F(DispatchOrderTest, ResortMatchesFullSortAfterPriorityMoves) {
     jobs.push_back(std::make_unique<Job>(id, set_.get(), id % 2,
                                          static_cast<int>(id), id / 3,
                                          kNoTick));
-    order.push_back(jobs.back().get());
+    AppendToDispatchOrder(order, jobs.back().get());
   }
-  SortDispatchOrder(order);
+  ResortDispatchOrder(order);
+  EXPECT_EQ(order, FreshOrder(order));
   // Inheritance raises two lo jobs, one above every base priority.
   jobs[1]->set_running_priority(set_->priority(0));
   jobs[7]->set_running_priority(Priority(9));
-  std::vector<Job*> expected = order;
-  SortDispatchOrder(expected);
+  const std::vector<Job*> expected = FreshOrder(order);
   ResortDispatchOrder(order);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(order.front(), jobs[7].get());
+}
+
+// The simulator keeps one dispatch order across resolutions: arrivals
+// are appended, retirements removed, and every resolution repairs the
+// order by insertion sort after inheritance moved running priorities (up
+// on new edges, back to base on a restart). After each such step the
+// kept order must be the one a fresh full sort produces, with every
+// job's dispatch_index() at its position.
+TEST_F(DispatchOrderTest, KeptOrderMatchesFreshSortAcrossArrivalsAndRetirements) {
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> order;
+  auto release = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const JobId id = static_cast<JobId>(jobs.size());
+      jobs.push_back(std::make_unique<Job>(id, set_.get(), id % 2,
+                                           static_cast<int>(id), id / 2,
+                                           kNoTick));
+      AppendToDispatchOrder(order, jobs.back().get());
+    }
+  };
+  auto expect_fresh = [&](const char* step) {
+    ResortDispatchOrder(order);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i]->dispatch_index(), i) << step;
+    }
+    std::vector<Job*> shuffled = order;
+    std::reverse(shuffled.begin(), shuffled.end());
+    EXPECT_EQ(order, FreshOrder(shuffled)) << step;
+  };
+
+  release(5);
+  expect_fresh("first arrivals");
+  // Inheritance: two lo jobs inherit, one above every base priority.
+  jobs[1]->set_running_priority(set_->priority(0));
+  jobs[3]->set_running_priority(Priority(9));
+  expect_fresh("inheritance");
+  release(3);
+  RemoveFromDispatchOrder(order, *jobs[0]);
+  RemoveFromDispatchOrder(order, *jobs[3]);
+  expect_fresh("arrivals and retirements");
+  // A restart drops the victim back to its base priority.
+  jobs[1]->set_running_priority(jobs[1]->base_priority());
+  jobs[6]->set_running_priority(Priority(9));
+  release(2);
+  RemoveFromDispatchOrder(order, *jobs[9]);
+  expect_fresh("restart, arrivals and a retirement");
+  EXPECT_EQ(order.size(), 7u);
+  EXPECT_EQ(order.front(), jobs[6].get());
+}
+
+TEST_F(DispatchOrderTest, ResortReportsFirstChangedPosition) {
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> order;
+  for (JobId id = 0; id < 6; ++id) {
+    jobs.push_back(std::make_unique<Job>(id, set_.get(), id % 2,
+                                         static_cast<int>(id), id, kNoTick));
+    AppendToDispatchOrder(order, jobs.back().get());
+  }
+  ResortDispatchOrder(order);
+  EXPECT_EQ(ResortDispatchOrder(order), order.size());
+  // The last job (a lo job) rises to the front of the lo jobs, just
+  // behind the three hi jobs.
+  Job* riser = order.back();
+  riser->set_running_priority(set_->priority(0));
+  const std::size_t first = ResortDispatchOrder(order);
+  EXPECT_LT(first, order.size() - 1);
+  EXPECT_EQ(order[first], riser);
+  EXPECT_EQ(riser->dispatch_index(), first);
 }
 
 // --- Job -----------------------------------------------------------------

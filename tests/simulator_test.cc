@@ -4,6 +4,7 @@
 #include "history/serialization_graph.h"
 #include "protocols/two_pl_pi.h"
 #include "test_util.h"
+#include "workload/scenario.h"
 
 namespace pcpda {
 namespace {
@@ -100,6 +101,134 @@ TEST(SimulatorTest, DeadlineMissHaltPolicy) {
   const SimResult result = sim.Run();
   EXPECT_TRUE(result.metrics.halted_on_miss);
   EXPECT_LT(result.trace.ticks().size(), 20u);
+}
+
+// A (spec 2, released first) and B (spec 1, released a tick later) fall
+// due in the same tick while a hog holds the processor. Misses are handled
+// in ascending job id — A before B — not in spec or release-heap order.
+TransactionSet SameTickMissSet() {
+  return MakeSet({
+      {.name = "hog", .body = {Compute(8)}},
+      {.name = "B", .offset = 1, .relative_deadline = 4, .body = {Compute(2)}},
+      {.name = "A", .offset = 0, .relative_deadline = 5, .body = {Compute(2)}},
+  });
+}
+
+TEST(SimulatorTest, SameTickMissesAreTracedInIdOrder) {
+  TransactionSet set = SameTickMissSet();
+  const SimResult result = RunWith(set, ProtocolKind::kPcpDa, 12);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  const auto misses = result.trace.EventsOfKind(TraceKind::kDeadlineMiss);
+  ASSERT_EQ(misses.size(), 2u);
+  EXPECT_EQ(misses[0].tick, 5);
+  EXPECT_EQ(misses[0].spec, 2);  // A: job 1
+  EXPECT_EQ(misses[1].tick, 5);
+  EXPECT_EQ(misses[1].spec, 1);  // B: job 2
+  EXPECT_LT(misses[0].job, misses[1].job);
+}
+
+TEST(SimulatorTest, HaltOnMissStopsAtLowestIdDueThatTick) {
+  TransactionSet set = SameTickMissSet();
+  auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
+  SimulatorOptions options;
+  options.horizon = 12;
+  options.miss_policy = DeadlineMissPolicy::kHalt;
+  Simulator sim(&set, protocol.get(), options);
+  const SimResult result = sim.Run();
+  EXPECT_TRUE(result.metrics.halted_on_miss);
+  EXPECT_EQ(result.metrics.per_spec[2].deadline_misses, 1);  // A
+  EXPECT_EQ(result.metrics.per_spec[1].deadline_misses, 0);  // B
+  const auto misses = result.trace.EventsOfKind(TraceKind::kDeadlineMiss);
+  ASSERT_EQ(misses.size(), 1u);
+  EXPECT_EQ(misses[0].spec, 2);
+}
+
+TEST(SimulatorTest, RetiredJobsNeverReportAMiss) {
+  // "early" commits at tick 2, long before its deadline at 10, while
+  // "late" keeps the processor busy past it. "dropped" misses at tick 4
+  // and is dropped: one miss, never a second.
+  TransactionSet set = MakeSet({
+      {.name = "early", .relative_deadline = 10, .body = {Compute(2)}},
+      {.name = "late", .relative_deadline = 30, .body = {Compute(12)}},
+      {.name = "dropped", .relative_deadline = 4, .body = {Compute(3)}},
+  });
+  auto protocol = MakeProtocol(ProtocolKind::kPcpDa);
+  SimulatorOptions options;
+  options.horizon = 20;
+  options.miss_policy = DeadlineMissPolicy::kDrop;
+  Simulator sim(&set, protocol.get(), options);
+  const SimResult result = sim.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(CommitTime(result, 0, 0), 2);
+  EXPECT_EQ(result.metrics.per_spec[0].deadline_misses, 0);
+  EXPECT_EQ(result.metrics.per_spec[1].deadline_misses, 0);
+  EXPECT_EQ(result.metrics.per_spec[2].deadline_misses, 1);
+  EXPECT_EQ(result.metrics.per_spec[2].dropped, 1);
+  const auto misses = result.trace.EventsOfKind(TraceKind::kDeadlineMiss);
+  ASSERT_EQ(misses.size(), 1u);
+  EXPECT_EQ(misses[0].spec, 2);
+  EXPECT_EQ(misses[0].tick, 4);
+}
+
+// The deadlock check runs only after SetWaits added an edge; Example 5's
+// crossed access under 2PL-PI must still be caught the moment its cycle
+// closes, at tick 2 (TL, job 0, and TH, job 1), under both policies.
+TEST(SimulatorTest, Example5DeadlockUnderTwoPlPiAtTickTwo) {
+  auto scenario = LoadScenarioFile(PCPDA_SOURCE_DIR "/scenarios/example5.scn");
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  for (DeadlockPolicy policy :
+       {DeadlockPolicy::kHalt, DeadlockPolicy::kAbortLowestPriority}) {
+    const SimResult result = RunWith(scenario->set, ProtocolKind::kTwoPlPi,
+                                     scenario->horizon, policy);
+    const auto deadlocks = result.trace.EventsOfKind(TraceKind::kDeadlock);
+    ASSERT_EQ(deadlocks.size(), 1u);
+    EXPECT_EQ(deadlocks[0].tick, 2);
+    EXPECT_EQ(deadlocks[0].others, (std::vector<JobId>{0, 1}));
+    EXPECT_EQ(result.metrics.halted_on_deadlock,
+              policy == DeadlockPolicy::kHalt);
+  }
+}
+
+/// Grants every request before `switch_tick`, then answers every request
+/// with AbortRequester: a protocol that aborts without progress. It fails
+/// on its own once it has aborted more often than a guard sized by the
+/// active set allows, so only a guard sized that way trips first.
+class SelfAbortAfter final : public Protocol {
+ public:
+  explicit SelfAbortAfter(Tick switch_tick) : switch_tick_(switch_tick) {}
+  const char* name() const override { return "self-abort"; }
+  UpdateModel update_model() const override {
+    return UpdateModel::kWorkspace;
+  }
+  bool uses_priority_inheritance() const override { return false; }
+  LockDecision Decide(const LockRequest& request) const override {
+    (void)request;
+    if (view().now() < switch_tick_) return LockDecision::Grant();
+    PCPDA_CHECK_MSG(++aborts_ < 1000, "abort guard grows with the archive");
+    return LockDecision::AbortRequester();
+  }
+
+ private:
+  Tick switch_tick_;
+  mutable int aborts_ = 0;
+};
+
+TEST(SimulatorDeathTest, AbortGuardScalesWithActiveJobs) {
+  // 1,000 one-tick jobs commit before the switch, so the archive holds
+  // 1,000 jobs while at most one is ever in flight.
+  TransactionSet set =
+      MakeSet({{.name = "T", .period = 2, .body = {Write(0)}}});
+  SimulatorOptions options;
+  options.horizon = 2004;
+  options.record_trace = false;
+  options.record_history = false;
+  EXPECT_DEATH(
+      {
+        SelfAbortAfter protocol(2000);
+        Simulator sim(&set, &protocol, options);
+        sim.Run();
+      },
+      "dispatch resolution is not making progress");
 }
 
 TEST(SimulatorTest, ReadObservesCommittedValue) {
